@@ -129,20 +129,21 @@ class RunTrace:
 
 
 def standard_fw_step(
-    x: np.ndarray, g: np.ndarray, P: Polytope, epsilon: float, L: float, D: float
-) -> tuple[np.ndarray, dict]:
+    active: ActiveSet, g: np.ndarray, P: Polytope, epsilon: float, L: float, D: float
+) -> tuple[ActiveSet, dict]:
     """One standard Frank-Wolfe step with the fixed rule
-    gamma = min(1, epsilon / (2 L D^2)) towards the LMO vertex."""
-    s, s_id = lmo(P, g)
+    gamma = min(1, epsilon / (2 L D^2)) towards the LMO vertex, applied to
+    the given active set in place."""
+    _, s_id = lmo(P, g)
     gamma = min(1.0, epsilon / (2.0 * L * D * D))
-    x_next = x + gamma * (s - x)
+    active.apply_fw(s_id, gamma)
     info = {
         "step_type": "fw_max" if gamma >= 1.0 else "fw",
         "gamma": gamma,
         "gamma_max": 1.0,
         "s_id": s_id,
     }
-    return x_next, info
+    return active, info
 
 
 def away_fw_step(
@@ -287,8 +288,7 @@ def run(
             total_samples += n
 
         if algorithm == "standard":
-            _, info = standard_fw_step(x, g, P, epsilon, L, D)
-            active.apply_fw(info["s_id"], info["gamma"])
+            active, info = standard_fw_step(active, g, P, epsilon, L, D)
             good = grad_error <= epsilon / (4.0 * D)
         else:
             try:

@@ -10,7 +10,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .sampling import (
     chebyshev_tail_bound,
     noise_from_json,
     plan_from_json,
+    plan_sample_size,
     subgaussian_c1,
 )
 
@@ -117,7 +118,8 @@ class SummaryStats:
 
 
 class _Problem:
-    """Problem objects built once from a config and shared across cells."""
+    """Problem objects, and the analysis constants and sample plan at each
+    epsilon of the grid, built once from a config and shared across cells."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.P = polytope_from_json(cfg.problem["polytope"])
@@ -128,9 +130,10 @@ class _Problem:
         self.eps_g = cfg.eps_g if cfg.eps_g is not None else 1.0 / (8.0 * self.geo.D)
         x0 = initial_active_set(self.P).point
         self.gap0 = self.obj.value(x0) - self.ref.f_star
-
-    def constants(self, epsilon: float) -> AnalysisConstants:
-        return compute_constants(self.obj, self.P, epsilon, self.eps_g)
+        self.consts = [
+            compute_constants(self.obj, self.P, eps, self.eps_g) for eps in cfg.epsilon_grid
+        ]
+        self.plans = [resolve_plan(cfg, self, c) for c in self.consts]
 
 
 def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstants) -> SamplePlan:
@@ -170,13 +173,11 @@ def cell_rng(master_seed: int, eps_index: int, replication: int) -> np.random.Ge
 def run_cell(cfg: ExperimentConfig, prob: _Problem, eps_index: int, replication: int):
     """One replication at one epsilon; returns (row fields, trace)."""
     epsilon = cfg.epsilon_grid[eps_index]
-    consts = prob.constants(epsilon)
-    plan = resolve_plan(cfg, prob, consts)
     rng = cell_rng(cfg.master_seed, eps_index, replication)
     t0 = time.perf_counter()
     trace = run(
-        cfg.algorithm, prob.obj, prob.P, prob.noise, plan, epsilon, cfg.max_iter,
-        rng, eps_g=prob.eps_g, ref=prob.ref, consts=consts,
+        cfg.algorithm, prob.obj, prob.P, prob.noise, prob.plans[eps_index], epsilon,
+        cfg.max_iter, rng, eps_g=prob.eps_g, ref=prob.ref, consts=prob.consts[eps_index],
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     steps = [r for r in trace.records if r.step_type is not None]
@@ -195,16 +196,17 @@ def run_cell(cfg: ExperimentConfig, prob: _Problem, eps_index: int, replication:
     return row, trace
 
 
-_WORKER_CACHE: dict[str, tuple[ExperimentConfig, _Problem]] = {}
+_worker_problem: tuple[ExperimentConfig, _Problem] | None = None
 
 
-def _worker(payload: str, eps_index: int, replication: int):
-    if payload not in _WORKER_CACHE:
-        cfg = ExperimentConfig.from_dict(json.loads(payload))
-        _WORKER_CACHE[payload] = (cfg, _Problem(cfg))
-    cfg, prob = _WORKER_CACHE[payload]
-    row, _ = run_cell(cfg, prob, eps_index, replication)
-    return eps_index, replication, row
+def _init_worker(cfg: ExperimentConfig, prob: _Problem) -> None:
+    global _worker_problem
+    _worker_problem = (cfg, prob)
+
+
+def _worker(eps_index: int, replication: int) -> dict:
+    row, _ = run_cell(*_worker_problem, eps_index, replication)
+    return row
 
 
 def _format_row(row: dict) -> str:
@@ -235,11 +237,8 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
     per_eps = []
     bound_violations = 0
     for i, eps in enumerate(cfg.epsilon_grid):
-        consts = prob.constants(eps)
-        plan = resolve_plan(cfg, prob, consts)
-        from .sampling import plan_sample_size
-
-        n_planned = plan_sample_size(plan)
+        consts = prob.consts[i]
+        n_planned = plan_sample_size(prob.plans[i])
         cell_rows = [r for r in rows if r["replication"] >= 0 and r["epsilon"] == eps]
         done = [r for r in cell_rows if r["T_eps"] >= 0]
         failed = len(cell_rows) - len(done)
@@ -292,8 +291,11 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
     the output directory, and return the summary.
 
     Output is deterministic for a fixed config regardless of worker count
-    (rows are sorted by (epsilon index, replication); every cell owns a
+    (rows come in (epsilon index, replication) order; every cell owns a
     seeded stream derived from (master_seed, epsilon index, replication)).
+    With save_traces every cell runs in the calling process, where its trace
+    is written: workers return rows only, so a pool would have to run each
+    cell a second time to get its trace.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, "runs.csv")
@@ -302,27 +304,19 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
         (i, r) for i in range(len(cfg.epsilon_grid)) for r in range(cfg.replications)
     ]
     try:
-        results: dict[tuple[int, int], dict] = {}
-        if cfg.workers <= 1:
-            prob = _Problem(cfg)
+        prob = _Problem(cfg)
+        if cfg.workers <= 1 or cfg.save_traces:
+            rows = []
             for i, r in cells:
                 row, trace = run_cell(cfg, prob, i, r)
-                results[(i, r)] = row
+                rows.append(row)
                 if cfg.save_traces:
-                    _save_trace(cfg, prob, i, r, trace)
+                    _save_trace(cfg, i, r, trace)
         else:
-            payload = json.dumps(cfg.to_dict(), sort_keys=True)
-            prob = _Problem(cfg)
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for i, r, row in pool.map(
-                    _worker, *zip(*[(payload, i, r) for i, r in cells])
-                ):
-                    results[(i, r)] = row
-            if cfg.save_traces:
-                for i, r in cells:
-                    _, trace = run_cell(cfg, prob, i, r)
-                    _save_trace(cfg, prob, i, r, trace)
-        rows = [results[cell] for cell in sorted(results)]
+            with ProcessPoolExecutor(
+                max_workers=cfg.workers, initializer=_init_worker, initargs=(cfg, prob)
+            ) as pool:
+                rows = list(pool.map(_worker, *zip(*cells)))
         summary = summarize(cfg, prob, rows)
         with open(csv_path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
@@ -339,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
         raise
 
 
-def _save_trace(cfg, prob, eps_index, replication, trace):
+def _save_trace(cfg, eps_index, replication, trace):
     path = os.path.join(cfg.output_dir, f"trace_e{eps_index}_r{replication}.json")
     with open(path, "w") as fh:
         json.dump(trace_to_json(cfg, eps_index, trace), fh)
@@ -383,11 +377,15 @@ def fit_loglog_slope(points) -> tuple[float, float]:
     ly = np.log([y for _, y in pts])
     if np.ptp(lx) == 0.0:
         raise DegenerateFit("all x values identical")
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return _linear_fit(lx, ly)
+
+
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x plus r^2 (1 when y is constant)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
     return float(slope), r2
 
 
@@ -447,10 +445,6 @@ def concentration_experiment(
         if len(pos) < 3:
             continue
         ns = np.array([n for n, _ in pos], dtype=float)
-        lf = np.log([f for _, f in pos])
-        slope, intercept = np.polyfit(ns, lf, 1)
-        resid = lf - (slope * ns + intercept)
-        ss_tot = float(((lf - lf.mean()) ** 2).sum())
-        r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
-        fits.append({"s": s, "slope": float(slope), "r2": r2, "c_fit": float(-slope) / s**2})
+        slope, r2 = _linear_fit(ns, np.log([f for _, f in pos]))
+        fits.append({"s": s, "slope": slope, "r2": r2, "c_fit": -slope / s**2})
     return cells, fits

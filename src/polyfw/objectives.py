@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
-from .geometry import Polytope, lmo
+from .geometry import Polytope
 
 REFERENCE_GAP_TOL = 1e-12
 REFERENCE_MAX_ITER = 10**7
@@ -70,13 +70,6 @@ class ReferenceSolution:
     x_star: np.ndarray
     f_star: float
     certified_gap: float
-
-
-def duality_gap(obj: QuadraticObjective, P: Polytope, x) -> float:
-    """Frank-Wolfe gap max_{s in V} grad(x)^T (x - s); an upper bound on
-    f(x) - f* for convex f."""
-    g = obj.gradient(x)
-    return float(g @ x - (P.vertices @ g).min())
 
 
 def reference_solution(

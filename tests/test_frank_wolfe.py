@@ -85,19 +85,21 @@ def test_initial_active_set_is_min_ones_vertex():
 
 class TestStandardStep:
     def test_gamma_formula(self):
-        x = np.array([1.0, 1.0])
+        a = ActiveSet(BOX, {3: 1.0})  # x = (1, 1)
         g = np.array([1.0, 1.0])
-        x2, info = standard_fw_step(x, g, BOX, epsilon=0.1, L=1.0, D=np.sqrt(2))
+        a2, info = standard_fw_step(a, g, BOX, epsilon=0.1, L=1.0, D=np.sqrt(2))
+        assert a2 is a
         assert info["gamma"] == pytest.approx(0.025)
         assert info["step_type"] == "fw"
-        np.testing.assert_allclose(x2, 0.975 * x)
+        np.testing.assert_allclose(a2.point, [0.975, 0.975])
 
     def test_gamma_capped_at_one(self):
-        x = np.array([1.0, 1.0])
+        a = ActiveSet(BOX, {3: 1.0})
         g = np.array([1.0, 1.0])
-        x2, info = standard_fw_step(x, g, BOX, epsilon=10.0, L=1.0, D=1.0)
+        a2, info = standard_fw_step(a, g, BOX, epsilon=10.0, L=1.0, D=1.0)
         assert info["gamma"] == 1.0 and info["step_type"] == "fw_max"
-        np.testing.assert_allclose(x2, [0.0, 0.0])
+        assert a2.weights == {0: 1.0}
+        np.testing.assert_allclose(a2.point, [0.0, 0.0])
 
 
 class TestAwayStep:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polyfw.cli import main as cli_main
+from polyfw import harness
 from polyfw.errors import ConfigError, DegenerateFit
 from polyfw.geometry import unit_simplex
 from polyfw.harness import (
@@ -118,6 +119,12 @@ class TestRunExperiment:
         run_experiment(
             ExperimentConfig.from_dict(base_config(tmp_path / "w2", workers=2))
         )
+        for d, workers in (("t1", 1), ("t2", 2)):
+            run_experiment(
+                ExperimentConfig.from_dict(
+                    base_config(tmp_path / d, workers=workers, save_traces=True)
+                )
+            )
 
         def stable(d):
             csv = (tmp_path / d / "runs.csv").read_text().splitlines()
@@ -126,7 +133,27 @@ class TestRunExperiment:
                 tmp_path / d / "summary.json"
             ).read_bytes()
 
-        assert stable("w1") == stable("w1b") == stable("w2")
+        def traces(d):
+            return {
+                p.name: p.read_bytes() for p in sorted((tmp_path / d).glob("trace_*.json"))
+            }
+
+        assert stable("w1") == stable("w1b") == stable("w2") == stable("t1") == stable("t2")
+        assert len(traces("t1")) == 3 * 3
+        assert traces("t1") == traces("t2")
+
+    def test_constants_resolved_once_per_epsilon(self, tmp_path, monkeypatch):
+        calls = []
+        original = harness.compute_constants
+
+        def counting(obj, P, epsilon, eps_g=None):
+            calls.append(epsilon)
+            return original(obj, P, epsilon, eps_g)
+
+        monkeypatch.setattr(harness, "compute_constants", counting)
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path / "c"))
+        run_experiment(cfg)
+        assert calls == cfg.epsilon_grid
 
     def test_cell_rng_is_scheduling_independent(self):
         a = cell_rng(7, 1, 2).standard_normal(4)
