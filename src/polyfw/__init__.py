@@ -29,7 +29,6 @@ from .sampling import (
     NoiseModel,
     SamplePlan,
     chebyshev_tail_bound,
-    draw_gradient,
     estimate_gradient,
     plan_sample_size,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "chebyshev_tail_bound",
     "compute_constants",
     "concentration_experiment",
-    "draw_gradient",
     "enumerate_vertices",
     "estimate_gradient",
     "fit_loglog_slope",

@@ -65,12 +65,10 @@ def cmd_lmo_check(args) -> int:
 
 def cmd_concentration(args) -> int:
     spec = _load_json(args.config)
-    P = polytope_from_json(spec["problem"]["polytope"])
-    obj = objective_from_json(spec["problem"]["objective"])
-    noise = noise_from_json(spec["noise"], P.dim)
+    noise = noise_from_json(spec["noise"], polytope_from_json(spec["problem"]["polytope"]).dim)
     rng = np.random.default_rng(spec.get("seed", 0))
     cells, fits = concentration_experiment(
-        obj, P, noise, spec["n_grid"], spec["s_grid"], spec.get("trials", 10**4), rng
+        noise, spec["n_grid"], spec["s_grid"], spec.get("trials", 10**4), rng
     )
     out = {"cells": cells, "fits": fits}
     print(json.dumps(out, indent=2, sort_keys=True))

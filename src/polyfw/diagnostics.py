@@ -1,14 +1,43 @@
 """Analysis constants (beta1, beta2, nu, deltas, good-event probability
-lower bounds, Lyapunov values) and inequality verifiers for recorded traces."""
+lower bounds, Lyapunov values), the per-iteration trace records of a run,
+and inequality verifiers for recorded traces."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
 
-from .errors import EpsGOutOfRange, MalformedTrace
+import numpy as np
+
+from .errors import EpsGOutOfRange, InvariantViolation, MalformedTrace
 from .geometry import Polytope, geometry_constants
 from .objectives import QuadraticObjective, max_abs_value
+
+
+@dataclass
+class IterationRecord:
+    k: int
+    step_type: str | None  # fw | fw_max | away | away_drop; None on the stop record
+    gamma: float
+    gamma_max: float
+    n_samples: int
+    grad_error: float
+    good_event: bool
+    f_gap: float
+    active_size: int
+    lyapunov: float
+
+
+@dataclass
+class RunTrace:
+    records: list[IterationRecord]
+    T_eps: int | None  # None when max_iter was exhausted
+    total_samples: int
+    final_gap: float
+    # (sorted vertex ids, iterate) per visited iteration when requested
+    active_ids: list[tuple[tuple[int, ...], np.ndarray]] | None = field(
+        default=None, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -67,18 +96,15 @@ def compute_constants(
     nu = 1.0 / (1.0 + beta2 * epsilon / 2.0)
     delta_S = beta1 * epsilon / 2.0
     delta_A = (beta2 * epsilon / 2.0) / (2.0 + beta2 * epsilon)
-    assert 0.0 < delta_A < min(nu * beta2 * epsilon - 1.0 + nu, 1.0 - nu) + 1e-15
+    if not 0.0 < delta_A < min(nu * beta2 * epsilon - 1.0 + nu, 1.0 - nu) + 1e-15:
+        raise InvariantViolation(f"delta_A={delta_A} outside its admissible interval")
 
-    # expm1 keeps the numerator/denominator difference accurate when the
-    # exponents underflow; at tiny epsilon the ratios round to exactly 1.0.
-    e2m1 = math.expm1(2.0 * M)
-    pg_standard = (e2m1 - math.expm1(-delta_S)) / (e2m1 - math.expm1(-beta1 * epsilon))
-    top = math.expm1(2.0 * M * nu + 1.0 - nu)
-    floor = max(
-        math.expm1(-nu * beta2 * epsilon + 1.0 - nu), math.expm1(-(1.0 - nu))
+    pg_standard = _exp_ratio(2.0 * M, -delta_S, -beta1 * epsilon)
+    pg_away = _exp_ratio(
+        2.0 * M * nu + 1.0 - nu, -delta_A, -nu * beta2 * epsilon + 1.0 - nu, -(1.0 - nu)
     )
-    pg_away = (top - math.expm1(-delta_A)) / (top - floor)
-    assert 0.0 < pg_standard <= 1.0 and 0.0 < pg_away <= 1.0
+    if not (0.0 < pg_standard <= 1.0 and 0.0 < pg_away <= 1.0):
+        raise InvariantViolation(f"p_g bounds {pg_standard}, {pg_away} outside (0, 1]")
 
     return AnalysisConstants(
         epsilon=epsilon, eps_g=eps_g, D=D, L=L, mu=mu, M=M, N=N, omega=omega,
@@ -87,11 +113,23 @@ def compute_constants(
     )
 
 
+def _exp_ratio(top: float, num: float, *den: float) -> float:
+    """(e^top - e^num) / (e^top - e^max(den)) through expm1, which keeps the
+    differences accurate when the exponents underflow (at tiny epsilon the
+    ratio rounds to exactly 1.0); divided through by e^top where it overflows."""
+    try:
+        t = math.expm1(top)
+    except OverflowError:
+        return math.expm1(num - top) / max(math.expm1(x - top) for x in den)
+    return (t - math.expm1(num)) / (t - max(math.expm1(x) for x in den))
+
+
 def lyapunov(kind: str, f_gap: float, active_size: int, consts: AnalysisConstants) -> float:
     """Exponential potential: exp(gap) for the standard algorithm,
-    exp(nu * gap + (1 - nu) * active_size) for the away-step algorithm."""
-    if f_gap < 0:
-        raise ValueError("f_gap must be nonnegative")
+    exp(nu * gap + (1 - nu) * active_size) for the away-step algorithm. Gaps
+    down to -1e-12 are rounding noise around f*; below that they raise."""
+    if not f_gap >= -1e-12:
+        raise InvariantViolation(f"negative optimality gap {f_gap}")
     if kind == "standard":
         return math.exp(f_gap)
     if kind == "away":
@@ -136,18 +174,14 @@ def verify_trace(trace, consts: AnalysisConstants, kind: str) -> TraceReport:
     if kind not in ("standard", "away"):
         raise ValueError(f"unknown kind {kind!r}")
     records = getattr(trace, "records", None)
-    if records is None:
-        raise MalformedTrace("trace has no records")
+    if records is None or not all(isinstance(rec, IterationRecord) for rec in records):
+        raise MalformedTrace("trace records must be a list of IterationRecord")
     report = TraceReport(kind=kind)
     delta = consts.delta_S if kind == "standard" else consts.delta_A
     report.phi_ratio_bound = math.exp(-delta)
     ratios = []
     stop = trace.T_eps if trace.T_eps is not None else len(records)
     for rec, nxt in zip(records[:-1], records[1:]):
-        for item in (rec, nxt):
-            for name in ("good_event", "f_gap", "step_type", "lyapunov"):
-                if not hasattr(item, name):
-                    raise MalformedTrace(f"record {item!r} lacks field {name}")
         if rec.k >= stop or not rec.good_event:
             continue
         report.good_iterations += 1

@@ -34,7 +34,11 @@ class UnknownVertexId(PolyFWError):
 
 
 class DegeneratePolytope(PolyFWError):
-    """Every constraint is active at every vertex; phi is undefined."""
+    """D = 0, or every constraint is active at every vertex (phi undefined)."""
+
+
+class InvariantViolation(PolyFWError, ValueError):
+    """A runtime invariant failed; unlike assert, the check survives python -O."""
 
 
 class DegenerateDirection(PolyFWError):
@@ -66,7 +70,7 @@ class EpsGOutOfRange(PolyFWError):
 
 
 class MalformedTrace(PolyFWError):
-    """A run trace is missing fields the verifier needs."""
+    """A run trace or one of its records lacks fields or has unknown ones."""
 
 
 class DegenerateFit(PolyFWError):

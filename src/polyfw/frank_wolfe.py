@@ -4,12 +4,13 @@ full per-iteration traces up to the stopping time."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDirection
-from .geometry import Polytope, geometry_constants, lmo
+from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, compute_constants, lyapunov
+from .errors import DegenerateDirection, InvariantViolation
+from .geometry import Polytope, lmo
+from .objectives import reference_solution
 from .sampling import NoiseModel, SamplePlan, estimate_gradient, plan_sample_size
 
 DROP_TOL = 1e-12
@@ -82,50 +83,27 @@ class ActiveSet:
         self.weights = {vid: w for vid, w in self.weights.items() if w > DROP_TOL}
         total = sum(self.weights.values())
         if not self.weights or abs(total - 1.0) > 0.5:
-            raise ValueError(f"active-set mass {total} lost; representation corrupt")
+            raise InvariantViolation(f"active-set mass {total} lost; representation corrupt")
         if total != 1.0:
             self.weights = {vid: w / total for vid, w in self.weights.items()}
 
     def validate(self, tol_sum: float = 1e-10, tol_point: float = 1e-8) -> None:
-        """Assert the representation invariants; raises AssertionError."""
+        """Check the representation invariants; raises InvariantViolation."""
         total = sum(self.weights.values())
-        assert abs(total - 1.0) <= tol_sum, f"weights sum to {total}"
-        assert all(w > 0 for w in self.weights.values()), "nonpositive weight"
+        if not abs(total - 1.0) <= tol_sum:
+            raise InvariantViolation(f"weights sum to {total}")
+        if not all(w > 0 for w in self.weights.values()):
+            raise InvariantViolation("nonpositive weight")
         V = self.P.vertices
         recon = sum(w * V[vid] for vid, w in self.weights.items())
-        assert np.linalg.norm(recon - self.point) <= tol_point, "cached point drifted"
+        if not np.linalg.norm(recon - self.point) <= tol_point:
+            raise InvariantViolation("cached point drifted")
 
 
 def initial_active_set(P: Polytope) -> ActiveSet:
     """Singleton active set at the vertex solving min 1^T x."""
     _, vid = lmo(P, np.ones(P.dim))
     return ActiveSet(P, {vid: 1.0})
-
-
-@dataclass
-class IterationRecord:
-    k: int
-    step_type: str | None  # fw | fw_max | away | away_drop; None on the stop record
-    gamma: float
-    gamma_max: float
-    n_samples: int
-    grad_error: float
-    good_event: bool
-    f_gap: float
-    active_size: int
-    lyapunov: float
-
-
-@dataclass
-class RunTrace:
-    records: list[IterationRecord]
-    T_eps: int | None  # None when max_iter was exhausted
-    total_samples: int
-    final_gap: float
-    # (sorted vertex ids, iterate) per visited iteration when requested
-    active_ids: list[tuple[tuple[int, ...], np.ndarray]] | None = field(
-        default=None, repr=False
-    )
 
 
 def standard_fw_step(
@@ -170,14 +148,16 @@ def away_fw_step(
     else:
         # alpha_v = 1 makes d_away = 0 and -g.d_away = 0 <= -g.d_fw, so the
         # FW branch is taken and this division cannot see alpha_v = 1.
-        assert alpha_v < 1.0, "away branch reached with a singleton active set"
+        if not alpha_v < 1.0:
+            raise InvariantViolation("away branch reached with a singleton active set")
         d, gamma_max = d_away, alpha_v / (1.0 - alpha_v)
 
     norm2 = float(d @ d)
     if norm2 <= 1e-28:
         raise DegenerateDirection("search direction is numerically zero")
     descent = -float(g @ d)
-    assert descent >= -1e-12, "chosen direction is not a descent direction for g"
+    if not descent >= -1e-12:
+        raise InvariantViolation("chosen direction is not a descent direction for g")
     unclamped = max(0.0, descent) / (L * norm2)
     at_max = unclamped >= gamma_max
     gamma = gamma_max if at_max else unclamped
@@ -200,12 +180,6 @@ def away_fw_step(
     return new, info
 
 
-def _lyapunov(kind: str, f_gap: float, active_size: int, nu: float) -> float:
-    if kind == "standard":
-        return math.exp(f_gap)
-    return math.exp(nu * f_gap + (1.0 - nu) * active_size)
-
-
 def run(
     algorithm: str,
     obj,
@@ -216,9 +190,8 @@ def run(
     max_iter: int,
     rng: np.random.Generator | None,
     *,
-    eps_g: float | None = None,
     ref=None,
-    consts=None,
+    consts: AnalysisConstants | None = None,
     check_invariants: bool = False,
     collect_active_ids: bool = False,
 ) -> RunTrace:
@@ -229,23 +202,20 @@ def run(
     planned number of gradient samples; mode "exact" uses the true gradient.
     The good-event flag compares the realized gradient error against
     epsilon/(4D) for the standard algorithm and eps_g * g^T(v - s) for the
-    away-step algorithm.
+    away-step algorithm. D, L and eps_g come from consts, which must be
+    resolved at this epsilon (default: compute_constants at the default eps_g).
     """
     if algorithm not in ("standard", "away"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    from .diagnostics import compute_constants
-    from .objectives import reference_solution
-
-    geo = geometry_constants(P)
-    D, L = geo.D, obj.L
-    if eps_g is None:
-        eps_g = 1.0 / (8.0 * D)
     if ref is None:
         ref = reference_solution(obj, P)
     if consts is None:
-        consts = compute_constants(obj, P, epsilon, eps_g)
+        consts = compute_constants(obj, P, epsilon)
+    elif consts.epsilon != epsilon:
+        raise ValueError(f"consts resolved at epsilon={consts.epsilon}, run at {epsilon}")
+    D, L, eps_g = consts.D, consts.L, consts.eps_g
     n = plan_sample_size(plan)
 
     active = initial_active_set(P)
@@ -259,13 +229,13 @@ def run(
         x = active.point
         if check_invariants:
             active.validate()
-            assert np.all(P.A @ x <= P.b + 1e-8), "iterate infeasible"
+            if not np.all(P.A @ x <= P.b + 1e-8):
+                raise InvariantViolation("iterate infeasible")
         if collect_active_ids:
             active_ids.append((tuple(sorted(active.weights)), x.copy()))
         f_gap = obj.value(x) - ref.f_star
-        assert f_gap >= -1e-12, f"negative optimality gap {f_gap}"
         n_k = len(active)
-        lyap = _lyapunov(algorithm, f_gap, n_k, consts.nu)
+        lyap = lyapunov(algorithm, f_gap, n_k, consts)
 
         if f_gap <= epsilon or k == max_iter:
             records.append(
@@ -279,12 +249,12 @@ def run(
                 T_eps = k
             break
 
+        grad = obj.gradient(x)
         if n == 0:
-            g = obj.gradient(x)
-            grad_error = 0.0
+            g, grad_error = grad, 0.0
         else:
-            g = estimate_gradient(obj, x, noise, n, rng)
-            grad_error = float(np.linalg.norm(g - obj.gradient(x)))
+            g = estimate_gradient(grad, noise, n, rng)
+            grad_error = float(np.linalg.norm(g - grad))
             total_samples += n
 
         if algorithm == "standard":

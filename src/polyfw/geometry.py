@@ -166,8 +166,9 @@ def geometry_constants(P: Polytope, tol: float = FEAS_TOL) -> GeometryConstants:
 
     zeta minimizes b_i - A_i v over (vertex, row) pairs with strictly
     positive slack; phi maximizes ||A_i|| over rows not active at every
-    vertex. Raises DegeneratePolytope when every row is active at every
-    vertex, which leaves phi undefined.
+    vertex. Raises DegeneratePolytope when the polytope is a single point
+    (D = 0) or every row is active at every vertex, which leaves phi
+    undefined.
     """
     if P._geo is not None:
         return P._geo
@@ -175,6 +176,8 @@ def geometry_constants(P: Polytope, tol: float = FEAS_TOL) -> GeometryConstants:
     N = len(V)
     diffs = V[:, None, :] - V[None, :, :]
     D = float(np.sqrt((diffs**2).sum(axis=2).max()))
+    if D == 0.0:
+        raise DegeneratePolytope("the polytope is a single point (diameter 0)")
     slack = P.b[None, :] - V @ P.A.T  # (N, m)
     tol_i = tol * (1.0 + np.abs(P.b))
     active = slack <= tol_i[None, :]

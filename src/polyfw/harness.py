@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import AnalysisConstants, compute_constants
-from .errors import ConfigError, DegenerateFit
-from .frank_wolfe import IterationRecord, RunTrace, initial_active_set, run
-from .geometry import Polytope, geometry_constants, polytope_from_json
-from .objectives import QuadraticObjective, objective_from_json, reference_solution
+from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, compute_constants
+from .errors import ConfigError, DegenerateFit, MalformedTrace
+from .frank_wolfe import initial_active_set, run
+from .geometry import polytope_from_json
+from .objectives import objective_from_json, reference_solution
 from .sampling import (
     NoiseModel,
     SamplePlan,
@@ -124,15 +124,11 @@ class _Problem:
     def __init__(self, cfg: ExperimentConfig):
         self.P = polytope_from_json(cfg.problem["polytope"])
         self.obj = objective_from_json(cfg.problem["objective"])
-        self.geo = geometry_constants(self.P)
         self.ref = reference_solution(self.obj, self.P)
         self.noise = noise_from_json(cfg.noise, self.P.dim)
-        self.eps_g = cfg.eps_g if cfg.eps_g is not None else 1.0 / (8.0 * self.geo.D)
         x0 = initial_active_set(self.P).point
         self.gap0 = self.obj.value(x0) - self.ref.f_star
-        self.consts = [
-            compute_constants(self.obj, self.P, eps, self.eps_g) for eps in cfg.epsilon_grid
-        ]
+        self.consts = [compute_constants(self.obj, self.P, e, cfg.eps_g) for e in cfg.epsilon_grid]
         self.plans = [resolve_plan(cfg, self, c) for c in self.consts]
 
 
@@ -177,7 +173,7 @@ def run_cell(cfg: ExperimentConfig, prob: _Problem, eps_index: int, replication:
     t0 = time.perf_counter()
     trace = run(
         cfg.algorithm, prob.obj, prob.P, prob.noise, prob.plans[eps_index], epsilon,
-        cfg.max_iter, rng, eps_g=prob.eps_g, ref=prob.ref, consts=prob.consts[eps_index],
+        cfg.max_iter, rng, ref=prob.ref, consts=prob.consts[eps_index],
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     steps = [r for r in trace.records if r.step_type is not None]
@@ -353,7 +349,13 @@ def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dic
 
 
 def trace_from_json(data: dict) -> RunTrace:
-    records = [IterationRecord(**rec) for rec in data["records"]]
+    """Rebuild a trace from trace_to_json; a bad record raises MalformedTrace."""
+    records = []
+    for i, rec in enumerate(data["records"]):
+        try:
+            records.append(IterationRecord(**rec))
+        except TypeError as exc:  # names the missing or unknown key
+            raise MalformedTrace(f"record {i}: {exc}") from None
     return RunTrace(
         records=records,
         T_eps=data.get("T_eps"),
@@ -390,13 +392,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def concentration_experiment(
-    obj,
-    P: Polytope,
-    noise: NoiseModel,
-    n_grid,
-    s_grid,
-    trials: int,
-    rng: np.random.Generator,
+    noise: NoiseModel, n_grid, s_grid, trials: int, rng: np.random.Generator
 ) -> tuple[list[dict], list[dict]]:
     """Empirical exceedance frequencies of ||sample mean - grad|| per (n, s)
     cell, flagged against the Chebyshev bound, plus per-s exponential fits

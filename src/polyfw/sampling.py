@@ -60,9 +60,9 @@ class NoiseModel:
             return self.scale * math.sqrt(self.dim)
         return None
 
-    def draw(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        """One noise vector (n=None) or a stack of n of them."""
-        shape = (self.dim,) if n is None else (n, self.dim)
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """A stack of n noise vectors, shape (n, dim)."""
+        shape = (n, self.dim)
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, shape)
         if self.kind == "student_t":
@@ -70,13 +70,9 @@ class NoiseModel:
         return self.scale * rng.choice((-1.0, 1.0), shape)
 
 
-def draw_gradient(obj, x, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """One unbiased gradient draw: grad f(x) + noise."""
-    return obj.gradient(x) + noise.draw(rng)
-
-
-def estimate_gradient(obj, x, noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample mean of n independent gradient draws.
+def estimate_gradient(grad, noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample mean of n independent draws grad + noise around the exact
+    gradient grad; n = 1 is a single unbiased draw.
 
     For large gaussian n the mean is drawn from its exact sampling
     distribution directly, which is distributionally identical and O(d)
@@ -84,7 +80,6 @@ def estimate_gradient(obj, x, noise: NoiseModel, n: int, rng: np.random.Generato
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    grad = obj.gradient(x)
     if noise.kind == "gaussian" and n > GAUSSIAN_SHORTCUT_N:
         return grad + rng.normal(0.0, noise.sigma / math.sqrt(n), noise.dim)
     return grad + noise.draw(rng, n).mean(axis=0)

@@ -199,7 +199,7 @@ def test_criterion_5_good_event_probability(prob3):
     for x in iterates:
         grad = obj.gradient(x)
         for _ in range(100):
-            err = np.linalg.norm(estimate_gradient(obj, x, noise, n, rng) - grad)
+            err = np.linalg.norm(estimate_gradient(grad, noise, n, rng) - grad)
             good += err <= threshold
             total += 1
     rate = good / total
@@ -213,18 +213,17 @@ def test_criterion_5_good_event_probability(prob3):
     assert elapsed < 60.0
 
 
-def test_criterion_6_concentration_bounds(prob3):
+def test_criterion_6_concentration_bounds():
     t0 = time.perf_counter()
-    obj, P = prob3
     rng = np.random.default_rng(23)
     gauss = NoiseModel.gaussian(1.0, 3)
     cells_g, fits = concentration_experiment(
-        obj, P, gauss, n_grid=(2, 4, 6, 8, 10), s_grid=(0.5, 1.0),
+        gauss, n_grid=(2, 4, 6, 8, 10), s_grid=(0.5, 1.0),
         trials=10**4, rng=rng,
     )
     heavy = NoiseModel.student_t(3, 1.0, 3)
     cells_t, _ = concentration_experiment(
-        obj, P, heavy, n_grid=(5, 20, 80), s_grid=(1.0, 2.0), trials=10**4, rng=rng
+        heavy, n_grid=(5, 20, 80), s_grid=(1.0, 2.0), trials=10**4, rng=rng
     )
     violations = [c for c in cells_g + cells_t if c["violation"]]
     bad_fits = [f for f in fits if f["slope"] >= 0.0 or f["r2"] < 0.9]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from polyfw.diagnostics import compute_constants, lyapunov, verify_trace
-from polyfw.errors import EpsGOutOfRange, MalformedTrace
-from polyfw.frank_wolfe import IterationRecord, RunTrace, run
-from polyfw.geometry import geometry_constants, unit_box, unit_simplex
+from polyfw.diagnostics import IterationRecord, RunTrace, compute_constants, lyapunov, verify_trace
+from polyfw.errors import DegeneratePolytope, EpsGOutOfRange, InvariantViolation, MalformedTrace
+from polyfw.frank_wolfe import run
+from polyfw.geometry import Polytope, geometry_constants, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective
 from polyfw.sampling import SamplePlan
 
@@ -83,6 +83,20 @@ class TestComputeConstants:
         with pytest.raises(ValueError):
             compute_constants(obj, P, 0.0)
 
+    def test_large_objective_bound_does_not_overflow(self):
+        # M = f(0) = 1400, so e^{2M} overflows a float.
+        obj = QuadraticObjective([1.0, 2.0, 4.0], z=[20.0, 20.0, 20.0])
+        c = compute_constants(obj, unit_simplex(3), 0.1)
+        assert c.M == 1400.0
+        assert 0.0 < c.pg_standard <= 1.0 and 0.0 < c.pg_away <= 1.0
+
+    def test_single_vertex_polytope_is_rejected(self):
+        # One vertex (0, 0) while the row x + y <= 1 is never active: D = 0.
+        P = Polytope([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [0, 0, 0, 0, 1])
+        obj = QuadraticObjective([1.0, 1.0], z=[0.5, 0.5])
+        with pytest.raises(DegeneratePolytope):
+            compute_constants(obj, P, 0.1)
+
 
 class TestLyapunov:
     def test_values(self):
@@ -104,6 +118,16 @@ class TestLyapunov:
             lyapunov("away", 0.1, 0, c)
         with pytest.raises(ValueError):
             lyapunov("momentum", 0.1, 1, c)
+
+    @pytest.mark.parametrize("kind", ["standard", "away"])
+    def test_gap_floor(self, kind):
+        obj, P = interval_problem()
+        c = compute_constants(obj, P, 1.0)
+        assert lyapunov(kind, -1e-13, 1, c) == pytest.approx(lyapunov(kind, 0.0, 1, c))
+        assert lyapunov(kind, -1e-12, 1, c) == pytest.approx(lyapunov(kind, 0.0, 1, c))
+        for gap in (-1.1e-12, float("nan")):
+            with pytest.raises(InvariantViolation):
+                lyapunov(kind, gap, 1, c)
 
 
 def record(k, step_type, f_gap, lyap, good=True):

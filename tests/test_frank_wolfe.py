@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyfw
+from polyfw.diagnostics import compute_constants
 from polyfw.frank_wolfe import (
     ActiveSet,
     away_fw_step,
@@ -45,6 +51,23 @@ class TestActiveSet:
         a.apply_away(3, 1.0, at_max=True)  # gamma_max = 0.5/0.5
         assert a.weights == pytest.approx({0: 0.5, 1: 0.5})
         a.validate()
+
+    def test_validate_raises_under_python_O(self):
+        # Runtime checks are not asserts, so python -O keeps them.
+        code = (
+            "from polyfw.frank_wolfe import ActiveSet\n"
+            "from polyfw.geometry import unit_box\n"
+            "a = ActiveSet(unit_box(2), {0: 1.0})\n"
+            "a.weights = {0: 0.5}\n"
+            "a.validate()\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polyfw.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert "polyfw.errors.InvariantViolation: weights sum to 0.5" in out.stderr
 
     def test_purges_dust(self):
         a = ActiveSet(BOX, {0: 1.0 - 1e-14, 3: 1e-14})
@@ -231,3 +254,24 @@ class TestRun:
             run("neither", obj, P, None, SamplePlan.exact(), 0.1, 10, None)
         with pytest.raises(ValueError):
             run("standard", obj, P, None, SamplePlan.exact(), -1.0, 10, None)
+
+    def test_rejects_constants_of_another_epsilon(self):
+        obj, P = self.problem()
+        consts = compute_constants(obj, P, 0.2)
+        with pytest.raises(ValueError, match="epsilon"):
+            run("standard", obj, P, None, SamplePlan.exact(), 0.1, 10, None, consts=consts)
+
+    @pytest.mark.parametrize("algorithm", ["standard", "away"])
+    def test_one_gradient_evaluation_per_step(self, algorithm, rng):
+        obj, P = self.problem()
+        ref, consts = reference_solution(obj, P), compute_constants(obj, P, 0.1)
+        calls = []
+        exact = obj.gradient
+        obj.gradient = lambda x: calls.append(x) or exact(x)
+        trace = run(
+            algorithm, obj, P, NoiseModel.gaussian(0.1, 3), SamplePlan.fixed(40), 0.1, 5000,
+            rng, ref=ref, consts=consts,
+        )
+        steps = sum(r.step_type is not None for r in trace.records)
+        assert steps > 0
+        assert len(calls) == steps

@@ -1,0 +1,102 @@
+"""Golden outputs: three small experiments shaped like the benchmark's
+workloads must reproduce the fixtures under tests/golden/ byte for byte.
+Compared are runs.csv without its wall_ms column, summary.json, and the
+SHA-256 of every trace_*.json.
+
+A refactor leaves these outputs unchanged. A change that alters them by
+design regenerates the fixtures with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in CHANGES.md, naming the configs whose outputs changed.
+"""
+
+import hashlib
+import os
+import sys
+
+import pytest
+
+from polyfw.harness import ExperimentConfig, run_experiment
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+SIMPLEX3 = {
+    "polytope": {"preset": "simplex", "dim": 3},
+    "objective": {"eigenvalues": [1.0, 2.0, 4.0], "z": [0.8, 0.6, 0.4]},
+}
+BOX8 = {
+    "polytope": {"preset": "box", "dim": 8, "scale": 1.0},
+    "objective": {
+        "eigenvalues": [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.75, 4.0],
+        "rotation_seed": 5,
+        "z": [1.3, -0.3, 0.6, 1.2, -0.2, 0.4, 1.1, 0.5],
+    },
+}
+
+CONFIGS = {
+    "standard-gaussian": {
+        "problem": SIMPLEX3,
+        "algorithm": "standard",
+        "noise": {"kind": "gaussian", "sigma": 1.0},
+        "sampling": {"mode": "bounded_variance_standard"},
+        "epsilon_grid": [0.2, 0.1, 0.05],
+    },
+    "away-rademacher": {
+        "problem": SIMPLEX3,
+        "algorithm": "away",
+        "noise": {"kind": "rademacher", "scale": 1.0},
+        "sampling": {"mode": "subgaussian_away", "params": {"c": 0.5}},
+        "epsilon_grid": [0.2, 0.1, 0.05],
+    },
+    "away-box8-traces": {
+        "problem": BOX8,
+        "algorithm": "away",
+        "noise": {"kind": "gaussian", "sigma": 1.0},
+        "sampling": {"mode": "fixed", "n": 1000},
+        "epsilon_grid": [0.1, 0.05, 0.025],
+        "save_traces": True,
+    },
+}
+
+
+def golden_outputs(name: str, out_dir: str) -> dict[str, str]:
+    """Run one config into out_dir; return the compared outputs by file name."""
+    raw = {**CONFIGS[name], "replications": 2, "master_seed": 71, "max_iter": 10**5,
+           "output_dir": out_dir}
+    run_experiment(ExperimentConfig.from_dict(raw))
+    with open(os.path.join(out_dir, "runs.csv")) as fh:
+        runs = "".join(line.rsplit(",", 1)[0] + "\n" for line in fh)
+    with open(os.path.join(out_dir, "summary.json")) as fh:
+        summary = fh.read()
+    traces = []
+    for fname in sorted(os.listdir(out_dir)):
+        if fname.startswith("trace_"):
+            with open(os.path.join(out_dir, fname), "rb") as fh:
+                traces.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {fname}\n")
+    return {"runs.csv": runs, "summary.json": summary, "traces.sha256": "".join(traces)}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_golden(name, tmp_path):
+    outputs = golden_outputs(name, str(tmp_path))
+    for fname, text in outputs.items():
+        with open(os.path.join(GOLDEN_DIR, name, fname)) as fh:
+            assert text == fh.read(), f"{name}/{fname} differs from its golden fixture"
+
+
+def _regenerate() -> None:
+    import tempfile
+
+    for name in sorted(CONFIGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = golden_outputs(name, tmp)
+        os.makedirs(os.path.join(GOLDEN_DIR, name), exist_ok=True)
+        for fname, text in outputs.items():
+            with open(os.path.join(GOLDEN_DIR, name, fname), "w") as fh:
+                fh.write(text)
+        print(f"wrote {os.path.join(GOLDEN_DIR, name)}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()

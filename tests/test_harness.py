@@ -212,38 +212,30 @@ def test_theorem_bound_formulas():
 
 
 class TestConcentration:
-    def setup_problem(self):
-        return QuadraticObjective([1.0, 2.0, 3.0], z=[0.0, 0.0, 0.0]), unit_simplex(3)
-
     def test_gaussian_respects_chebyshev(self, rng):
-        obj, P = self.setup_problem()
         noise = NoiseModel.gaussian(1.0, 3)
         cells, _ = concentration_experiment(
-            obj, P, noise, n_grid=(10, 100, 1000), s_grid=(0.5,), trials=2000, rng=rng
+            noise, n_grid=(10, 100, 1000), s_grid=(0.5,), trials=2000, rng=rng
         )
         assert all(not c["violation"] for c in cells)
         # Gaussian means are sub-Gaussian: log-frequency falls linearly in n.
         # Small n keeps every cell's frequency positive so the fit exists.
         _, fits = concentration_experiment(
-            obj, P, noise, n_grid=(2, 4, 6, 8, 10), s_grid=(0.5,), trials=4000, rng=rng
+            noise, n_grid=(2, 4, 6, 8, 10), s_grid=(0.5,), trials=4000, rng=rng
         )
         (fit,) = [f for f in fits if f["s"] == 0.5]
         assert fit["slope"] < 0.0 and fit["c_fit"] > 0.0
 
     def test_student_t_respects_chebyshev_too(self, rng):
-        obj, P = self.setup_problem()
         noise = NoiseModel.student_t(3, 1.0, 3)
         cells, _ = concentration_experiment(
-            obj, P, noise, n_grid=(5, 20, 80), s_grid=(1.0, 2.0), trials=2000, rng=rng
+            noise, n_grid=(5, 20, 80), s_grid=(1.0, 2.0), trials=2000, rng=rng
         )
         assert all(not c["violation"] for c in cells)
 
     def test_requires_enough_trials(self, rng):
-        obj, P = self.setup_problem()
         with pytest.raises(ValueError):
-            concentration_experiment(
-                obj, P, NoiseModel.gaussian(1.0, 3), (5,), (1.0,), 10, rng
-            )
+            concentration_experiment(NoiseModel.gaussian(1.0, 3), (5,), (1.0,), 10, rng)
 
 
 class TestCLI:
@@ -279,6 +271,24 @@ class TestCLI:
         trace = trace_from_json(data)
         assert trace.T_eps == data["T_eps"]
         assert trace.records[-1].step_type is None
+
+    @pytest.mark.parametrize("damage", ["missing_key", "unknown_key", "not_an_object"])
+    def test_verify_malformed_trace_exits_3(self, tmp_path, damage):
+        raw = base_config(
+            tmp_path / "bad", sampling={"mode": "exact"}, epsilon_grid=[0.1],
+            replications=1, save_traces=True,
+        )
+        run_experiment(ExperimentConfig.from_dict(raw))
+        path = tmp_path / "bad" / "trace_e0_r0.json"
+        data = json.loads(path.read_text())
+        if damage == "missing_key":
+            del data["records"][0]["lyapunov"]
+        elif damage == "unknown_key":
+            data["records"][0]["extra"] = 1
+        else:
+            data["records"][0] = [1, 2]
+        path.write_text(json.dumps(data))
+        assert cli_main(["verify", str(path)]) == 3
 
     def test_lmo_check(self, tmp_path):
         poly_path = tmp_path / "poly.json"
