@@ -20,12 +20,14 @@ from .frank_wolfe import initial_active_set, run
 from .geometry import polytope_from_json
 from .objectives import objective_from_json, reference_solution
 from .sampling import (
+    STUDENT_T_MAX_DRAWS,
     NoiseModel,
     SamplePlan,
     chebyshev_tail_bound,
     noise_from_json,
     plan_from_json,
     plan_sample_size,
+    sample_noise_means,
     subgaussian_c1,
 )
 
@@ -66,6 +68,12 @@ class ExperimentConfig:
         reps = int(need("", "replications", raw))
         if reps < 1:
             raise ConfigError("replications", "must be >= 1")
+        max_iter = int(need("", "max_iter", raw))
+        if max_iter < 0:
+            raise ConfigError("max_iter", f"must be >= 0, got {max_iter}")
+        workers = int(raw.get("workers", 1))
+        if workers < 1:
+            raise ConfigError("workers", f"must be >= 1, got {workers}")
         return cls(
             problem=problem,
             algorithm=algorithm,
@@ -74,10 +82,10 @@ class ExperimentConfig:
             epsilon_grid=[float(e) for e in grid],
             replications=reps,
             master_seed=int(need("", "master_seed", raw)),
-            max_iter=int(need("", "max_iter", raw)),
+            max_iter=max_iter,
             output_dir=str(need("", "output_dir", raw)),
             eps_g=raw.get("eps_g"),
-            workers=int(raw.get("workers", 1)),
+            workers=workers,
             save_traces=bool(raw.get("save_traces", False)),
         )
 
@@ -123,9 +131,9 @@ class _Problem:
 
     def __init__(self, cfg: ExperimentConfig):
         self.P = polytope_from_json(cfg.problem["polytope"])
+        self.noise = noise_from_json(cfg.noise, self.P.dim)
         self.obj = objective_from_json(cfg.problem["objective"])
         self.ref = reference_solution(self.obj, self.P)
-        self.noise = noise_from_json(cfg.noise, self.P.dim)
         x0 = initial_active_set(self.P).point
         self.gap0 = self.obj.value(x0) - self.ref.f_star
         self.consts = [compute_constants(self.obj, self.P, e, cfg.eps_g) for e in cfg.epsilon_grid]
@@ -137,27 +145,42 @@ def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstant
 
     Problem-derived params (V_g, D, N, omega, M, beta coefficients, the
     theoretical p_g lower bound, c1) are auto-filled; anything given
-    explicitly in the config overrides the auto-filled value.
+    explicitly in the config overrides the auto-filled value. A p_g that
+    rounds to 1 under a bounded-variance mode, and a student_t plan above
+    STUDENT_T_MAX_DRAWS values per estimate, raise ConfigError.
     """
-    base = plan_from_json(cfg.sampling)
-    if base.mode in ("exact", "fixed"):
-        return base
-    auto = {
-        "V_g": prob.noise.V_g,
-        "D": consts.D,
-        "epsilon": consts.epsilon,
-        "eps_g": consts.eps_g,
-        "N": consts.N,
-        "omega": consts.omega,
-        "M": consts.M,
-        "beta1": consts.beta1,
-        "beta2": consts.beta2,
-        "d": prob.P.dim,
-        "p_g": consts.pg_standard if base.mode.endswith("standard") else consts.pg_away,
-        "c1": subgaussian_c1(consts.mu, consts.eps_g, consts.D, consts.N, consts.omega),
-    }
-    auto.update(base.params)
-    return SamplePlan(mode=base.mode, params=auto)
+    plan = plan_from_json(cfg.sampling)
+    if plan.mode not in ("exact", "fixed"):
+        auto = {
+            "V_g": prob.noise.V_g,
+            "D": consts.D,
+            "epsilon": consts.epsilon,
+            "eps_g": consts.eps_g,
+            "N": consts.N,
+            "omega": consts.omega,
+            "M": consts.M,
+            "beta1": consts.beta1,
+            "beta2": consts.beta2,
+            "d": prob.P.dim,
+            "p_g": consts.pg_standard if plan.mode.endswith("standard") else consts.pg_away,
+            "c1": subgaussian_c1(consts.mu, consts.eps_g, consts.D, consts.N, consts.omega),
+        }
+        auto.update(plan.params)
+        if plan.mode.startswith("bounded_variance") and not auto["p_g"] < 1.0:
+            raise ConfigError(
+                "sampling.mode",
+                f"{plan.mode} needs p_g < 1, but p_g = {auto['p_g']} at M = {auto['M']} and "
+                f"epsilon = {consts.epsilon} (1 - p_g shrinks like exp(-2M) and rounds to 0)",
+            )
+        plan = SamplePlan(mode=plan.mode, params=auto)
+    n = plan_sample_size(plan)
+    if prob.noise.kind == "student_t" and n * prob.P.dim > STUDENT_T_MAX_DRAWS:
+        raise ConfigError(
+            "sampling",
+            f"student_t noise needs n = {n} draws per estimate at epsilon = {consts.epsilon}, "
+            f"{n * prob.P.dim} values, above the budget of {STUDENT_T_MAX_DRAWS}",
+        )
+    return plan
 
 
 def cell_rng(master_seed: int, eps_index: int, replication: int) -> np.random.Generator:
@@ -323,15 +346,18 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
             fh.write("\n")
         return summary
     except Exception:
-        for path in (csv_path, json_path):
+        for path in [csv_path, json_path, *(_trace_path(cfg, i, r) for i, r in cells)]:
             if os.path.exists(path):
                 os.remove(path)
         raise
 
 
+def _trace_path(cfg: ExperimentConfig, eps_index: int, replication: int) -> str:
+    return os.path.join(cfg.output_dir, f"trace_e{eps_index}_r{replication}.json")
+
+
 def _save_trace(cfg, eps_index, replication, trace):
-    path = os.path.join(cfg.output_dir, f"trace_e{eps_index}_r{replication}.json")
-    with open(path, "w") as fh:
+    with open(_trace_path(cfg, eps_index, replication), "w") as fh:
         json.dump(trace_to_json(cfg, eps_index, trace), fh)
 
 
@@ -407,18 +433,11 @@ def concentration_experiment(
     cells = []
     freq_by_s: dict[float, list[tuple[int, float]]] = {float(s): [] for s in s_grid}
     for n in n_grid:
-        norms = np.empty(trials)
         if noise.kind == "gaussian":
             means = rng.normal(0.0, noise.sigma / math.sqrt(n), (trials, d))
-            norms = np.linalg.norm(means, axis=1)
         else:
-            done = 0
-            block = max(1, int(2e7 // (n * d)))
-            while done < trials:
-                take = min(block, trials - done)
-                draws = noise.draw(rng, take * n).reshape(take, n, d)
-                norms[done : done + take] = np.linalg.norm(draws.mean(axis=1), axis=1)
-                done += take
+            means = sample_noise_means(noise, n, (trials,), rng)
+        norms = np.linalg.norm(means, axis=1)
         for s in s_grid:
             s = float(s)
             freq = float((norms > s).mean())

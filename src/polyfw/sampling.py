@@ -8,11 +8,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingParam, NonpositiveDenominator, NonpositiveS
+from .errors import ConfigError, MissingParam, NonpositiveDenominator, NonpositiveS
 
 # Above this size the gaussian sample mean is drawn directly from its exact
 # distribution N(grad, sigma^2/n I) instead of averaging n draws.
 GAUSSIAN_SHORTCUT_N = 4096
+
+# Noise that is averaged draw by draw is drawn and summed at most this many
+# values at a time, so one sample mean takes bounded memory at any n.
+DRAW_CHUNK = 2**22
+
+# Student-t means have no closed-form law and cost n * dim draws each; a plan
+# that asks for more values than this per estimate is a config error.
+STUDENT_T_MAX_DRAWS = 10**8
+
+PLAN_MODES = (
+    "exact", "fixed", "bounded_variance_standard", "bounded_variance_away",
+    "subgaussian_standard", "subgaussian_away",
+)
 
 
 @dataclass(frozen=True)
@@ -70,19 +83,48 @@ class NoiseModel:
         return self.scale * rng.choice((-1.0, 1.0), shape)
 
 
-def estimate_gradient(grad, noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample mean of n independent draws grad + noise around the exact
-    gradient grad; n = 1 is a single unbiased draw.
+def sample_noise_means(
+    noise: NoiseModel, n: int, size: tuple, rng: np.random.Generator
+) -> np.ndarray:
+    """Sample means of n independent noise vectors, shape size + (dim,).
 
-    For large gaussian n the mean is drawn from its exact sampling
-    distribution directly, which is distributionally identical and O(d)
-    instead of O(n d).
+    Rademacher means come from their exact law in O(dim) at any n: the sum
+    of n signs is 2B - n with B ~ Binomial(n, 1/2). Gaussian means above
+    GAUSSIAN_SHORTCUT_N come from N(0, sigma^2/n I). Otherwise the n vectors
+    are drawn and averaged, DRAW_CHUNK values at a time in stream order; a
+    mean that spans several chunks is the sum of its chunk sums over n.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
+    d = noise.dim
+    shape = (*size, d)
+    if noise.kind == "rademacher":
+        return noise.scale * (2 * rng.binomial(n, 0.5, shape) - n) / n
     if noise.kind == "gaussian" and n > GAUSSIAN_SHORTCUT_N:
-        return grad + rng.normal(0.0, noise.sigma / math.sqrt(n), noise.dim)
-    return grad + noise.draw(rng, n).mean(axis=0)
+        return rng.normal(0.0, noise.sigma / math.sqrt(n), shape)
+    count = math.prod(size)
+    means = np.empty((count, d))
+    per_chunk = DRAW_CHUNK // (n * d)
+    if per_chunk >= 1:
+        for start in range(0, count, per_chunk):
+            take = min(per_chunk, count - start)
+            draws = noise.draw(rng, take * n).reshape(take, n, d)
+            means[start : start + take] = draws.mean(axis=1)
+    else:
+        rows = max(1, DRAW_CHUNK // d)
+        for i in range(count):
+            total = np.zeros(d)
+            for start in range(0, n, rows):
+                total += noise.draw(rng, min(rows, n - start)).sum(axis=0)
+            means[i] = total / n
+    return means.reshape(shape)
+
+
+def estimate_gradient(grad, noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample mean of n independent draws grad + noise around the exact
+    gradient grad; n = 1 is a single unbiased draw. See sample_noise_means
+    for which noise families cost O(d) and which O(n d)."""
+    return grad + sample_noise_means(noise, n, (), rng)
 
 
 def chebyshev_tail_bound(V_g: float, n: int, s: float) -> float:
@@ -194,8 +236,7 @@ def calibrate_subgaussian_c(
     d = noise.dim
     best = math.inf
     for n in n_grid:
-        draws = noise.draw(rng, trials * n).reshape(trials, n, d)
-        norms = np.linalg.norm(draws.mean(axis=1), axis=1)
+        norms = np.linalg.norm(sample_noise_means(noise, n, (trials,), rng), axis=1)
         for s in s_grid:
             freq = float((norms >= s).mean())
             if freq > 0.0:
@@ -218,12 +259,14 @@ def noise_from_json(spec: dict, dim: int) -> NoiseModel:
         return NoiseModel.student_t(spec["dof"], spec["scale"], dim)
     if kind == "rademacher":
         return NoiseModel.rademacher(spec["scale"], dim)
-    raise ValueError(f"unknown noise kind {kind!r}")
+    raise ConfigError("noise.kind", f"must be gaussian|student_t|rademacher, got {kind!r}")
 
 
 def plan_from_json(spec: dict) -> SamplePlan:
     """Build from {"mode": ..., "n": ..., "params": {...}}."""
     mode = spec["mode"]
+    if mode not in PLAN_MODES:
+        raise ConfigError("sampling.mode", f"must be one of {'|'.join(PLAN_MODES)}, got {mode!r}")
     if mode == "fixed":
         return SamplePlan.fixed(spec["n"])
     return SamplePlan(mode=mode, params=dict(spec.get("params", {})))

@@ -180,6 +180,16 @@ class TestRunExperiment:
         assert not (tmp_path / "f" / "runs.csv").exists()
         assert not (tmp_path / "f" / "summary.json").exists()
 
+    def test_traces_removed_on_failure(self, tmp_path, monkeypatch):
+        def failing_summary(*args):
+            raise RuntimeError("summary failed")
+
+        monkeypatch.setattr(harness, "summarize", failing_summary)
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path / "t", save_traces=True))
+        with pytest.raises(RuntimeError):
+            run_experiment(cfg)
+        assert sorted(p.name for p in (tmp_path / "t").iterdir()) == []
+
     def test_exact_mode_bounds_hold(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             base_config(
@@ -310,6 +320,55 @@ class TestCLI:
         path = tmp_path / "conc.json"
         path.write_text(json.dumps(spec))
         assert cli_main(["concentration", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"noise": {"kind": "laplace", "scale": 1.0}},
+            {"sampling": {"mode": "no_such_mode"}},
+            {"workers": 0},
+            {"max_iter": -5},
+        ],
+        ids=["noise_kind", "sampling_mode", "workers", "max_iter"],
+    )
+    def test_invalid_field_exits_2(self, tmp_path, capsys, override):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(base_config(tmp_path / "out", **override)))
+        assert cli_main(["run", str(path)]) == 2
+        assert f"config error: {next(iter(override))}" in capsys.readouterr().err
+
+    def test_p_g_rounding_to_one_exits_2_naming_m(self, tmp_path, capsys):
+        # z far outside the simplex gives M = 1400, where both good-event
+        # bounds round to exactly 1 and bounded-variance plans are unbounded.
+        problem = {
+            "polytope": {"preset": "simplex", "dim": 3},
+            "objective": {"eigenvalues": [1.0, 2.0, 4.0], "z": [20.0, 20.0, 20.0]},
+        }
+        raw = base_config(
+            tmp_path / "out", problem=problem, epsilon_grid=[0.1],
+            noise={"kind": "gaussian", "sigma": 1.0},
+            sampling={"mode": "bounded_variance_standard"},
+        )
+        path = tmp_path / "pg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "M = 1400.0" in err and "p_g = 1.0" in err
+
+    def test_student_t_plan_over_budget_exits_2_naming_n(self, tmp_path, capsys):
+        problem = {
+            "polytope": {"preset": "simplex", "dim": 3},
+            "objective": {"eigenvalues": [1.0, 2.0, 4.0], "z": [0.8, 0.6, 0.4]},
+        }
+        raw = base_config(
+            tmp_path / "out", problem=problem, epsilon_grid=[0.2],
+            noise={"kind": "student_t", "dof": 5, "scale": 1.0},
+            sampling={"mode": "bounded_variance_standard"},
+        )
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 2
+        assert "n = 197792169" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polyfw import sampling
 from polyfw.errors import MissingParam, NonpositiveDenominator, NonpositiveS
 from polyfw.objectives import QuadraticObjective
 from polyfw.sampling import (
@@ -14,6 +16,7 @@ from polyfw.sampling import (
     chebyshev_tail_bound,
     estimate_gradient,
     plan_sample_size,
+    sample_noise_means,
     subgaussian_c1,
 )
 
@@ -104,6 +107,80 @@ class TestEstimator:
     def test_rejects_nonpositive_n(self, rng):
         with pytest.raises(ValueError):
             estimate_gradient(np.zeros(3), NoiseModel.gaussian(1.0, 3), 0, rng)
+
+
+def ks_two_sample(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|, evaluated
+    at every observed value (exact for discrete samples)."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.union1d(a, b)
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+class TestNoiseMeans:
+    @pytest.mark.parametrize("n, seed", [(5, 11), (50, 12), (500, 13)])
+    def test_binomial_rademacher_means_match_direct_draws(self, n, seed):
+        rng = np.random.default_rng(seed)
+        noise = NoiseModel.rademacher(1.3, 3)
+        trials = 4000
+        binomial = sample_noise_means(noise, n, (trials,), rng)
+        direct = noise.scale * rng.choice((-1.0, 1.0), (trials, n, 3)).mean(axis=1)
+        assert binomial.shape == direct.shape == (trials, 3)
+
+        def sign_count(means):
+            # Each mean is scale * (2k - n) / n for a count k of +1 signs;
+            # comparing counts keeps rounding from splitting one atom in two.
+            k = (means / noise.scale * n + n) / 2
+            np.testing.assert_allclose(k, np.round(k), atol=1e-6)
+            return np.round(k).ravel()
+
+        # KS at level 0.001 for two samples of size m: 1.95 sqrt(2 / m),
+        # conservative for discrete laws.
+        m = binomial.size
+        stat = ks_two_sample(sign_count(binomial), sign_count(direct))
+        assert stat <= 1.95 * math.sqrt(2.0 / m)
+
+    def test_rademacher_estimate_at_huge_n_is_o_d(self, rng, monkeypatch):
+        # n of the bounded_variance_away plan for Rademacher noise at
+        # epsilon = 0.2 on the d = 3 simplex: n * d signs would take 320 GB.
+        n = 13_300_000_000
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("Rademacher means must not draw n signs")
+
+        monkeypatch.setattr(NoiseModel, "draw", no_draws)
+        grad = np.array([0.5, -1.0, 2.0])
+        t0 = time.perf_counter()
+        est = estimate_gradient(grad, NoiseModel.rademacher(1.0, 3), n, rng)
+        assert time.perf_counter() - t0 < 1.0
+        assert est.shape == (3,)
+        assert np.all(np.abs(est - grad) <= 6.0 / math.sqrt(n))
+
+    def test_chunked_student_t_mean_stays_bounded_and_matches(self, monkeypatch):
+        noise = NoiseModel.student_t(5, 0.5, 3)
+        n = 1000
+        whole = noise.draw(np.random.default_rng(4), n).mean(axis=0)
+        sizes = []
+        original = NoiseModel.draw
+
+        def recording(self, rng, count):
+            sizes.append(count * self.dim)
+            return original(self, rng, count)
+
+        monkeypatch.setattr(NoiseModel, "draw", recording)
+        monkeypatch.setattr(sampling, "DRAW_CHUNK", 300)
+        chunked = sample_noise_means(noise, n, (), np.random.default_rng(4))
+        assert max(sizes) <= 300 and len(sizes) == 10
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-12)
+
+    def test_means_split_across_chunks_by_whole_trials_are_unchanged(self, monkeypatch):
+        noise = NoiseModel.student_t(3, 1.0, 3)
+        whole = sample_noise_means(noise, 4, (7,), np.random.default_rng(9))
+        monkeypatch.setattr(sampling, "DRAW_CHUNK", 24)  # two trials per chunk
+        split = sample_noise_means(noise, 4, (7,), np.random.default_rng(9))
+        np.testing.assert_array_equal(split, whole)
 
 
 class TestChebyshev:
