@@ -5,21 +5,30 @@ analysis."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import simplex_lp
 from .errors import (
+    ConfigError,
     DegeneratePolytope,
     DimensionMismatch,
     EmptyVertexList,
+    Infeasible,
     InfeasiblePoint,
+    Unbounded,
     UnboundedOrEmpty,
     UnknownVertexId,
 )
 
 FEAS_TOL = 1e-9
 DEDUP_TOL = 1e-8
+# Largest C(m, d) that vertex enumeration accepts (about 3 s of batched solves).
+MAX_SUBSETS = 10**6
+# d-row subsets per stacked solve; bounds the chunk's arrays to 2048 d x d systems.
+SUBSET_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -91,35 +100,76 @@ def enumerate_vertices(P: Polytope) -> np.ndarray:
     lexicographically by coordinates.
 
     Solves A_S x = b_S for every d-subset S of rows with a nonsingular
-    submatrix and keeps feasible solutions. Desk scale only: choose(m, d)
-    systems are solved explicitly.
+    submatrix and keeps feasible solutions; the subsets are taken in
+    itertools.combinations order, SUBSET_CHUNK at a time, with one stacked
+    solve per chunk. A candidate is kept when it lies farther than DEDUP_TOL
+    from every candidate kept before it. Desk scale only: more than
+    MAX_SUBSETS subsets, or an unbounded polytope (proven by linear programs
+    before any solve), raise ConfigError.
     """
     A, b, d, m = P.A, P.b, P.dim, P.n_constraints
-    if m < d:
-        raise UnboundedOrEmpty(f"need at least d={d} constraints, got m={m}")
-    candidates = []
-    for rows in itertools.combinations(range(m), d):
-        sub = A[list(rows)]
-        try:
-            x = np.linalg.solve(sub, b[list(rows)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e12:
-            continue
+    n_subsets = math.comb(m, d)
+    if n_subsets > MAX_SUBSETS:
+        raise ConfigError(
+            "polytope",
+            f"vertex enumeration needs C(m, d) = C({m}, {d}) = {n_subsets} solves, "
+            f"above the cap of {MAX_SUBSETS}",
+        )
+    prove_bounded(P)
+    subsets = itertools.combinations(range(m), d)
+    candidates = [np.empty((0, d))]
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(subsets, SUBSET_CHUNK))
+        rows = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
+        if not len(rows):
+            break
+        sub, rhs = A[rows], b[rows]
+        # slogdet's sign is 0 exactly when the LU factorization that solve()
+        # runs meets a zero pivot, i.e. when solve() would raise.
+        nonsingular = np.linalg.slogdet(sub)[0] != 0
+        sub, rhs = sub[nonsingular], rhs[nonsingular]
+        x = np.linalg.solve(sub, rhs[..., None])[..., 0]
+        norm = np.linalg.norm(x, axis=1)
+        resid = np.linalg.norm((sub @ x[..., None])[..., 0] - rhs, axis=1)
         # Guard against nearly singular bases that solve() tolerated.
-        if np.linalg.norm(sub @ x - b[list(rows)]) > 1e-7 * (1.0 + np.linalg.norm(x)):
-            continue
-        if np.all(A @ x <= b + 1e-9):
-            candidates.append(x)
-    if not candidates:
+        ok = np.isfinite(x).all(axis=1) & ~(norm > 1e12) & ~(resid > 1e-7 * (1.0 + norm))
+        x = x[ok]
+        candidates.append(x[(x @ A.T <= b + 1e-9).all(axis=1)])
+    X = np.concatenate(candidates)
+    if not len(X):
         raise UnboundedOrEmpty("no basic feasible solution found")
-    kept: list[np.ndarray] = []
-    for x in candidates:
-        if all(np.linalg.norm(x - y) > DEDUP_TOL for y in kept):
-            kept.append(x)
-    V = np.array(kept)
+    kept = np.empty_like(X)
+    n_kept = 0
+    for x in X:
+        if np.all(np.linalg.norm(kept[:n_kept] - x, axis=1) > DEDUP_TOL):
+            kept[n_kept] = x
+            n_kept += 1
+    V = kept[:n_kept]
     order = np.lexsort(V.T[::-1])
     return V[order]
+
+
+def prove_bounded(P: Polytope) -> None:
+    """Prove {Ax <= b} bounded by minimizing and maximizing every coordinate
+    with the simplex method (2d linear programs).
+
+    An unbounded coordinate raises ConfigError naming the direction of the
+    ray; an empty polytope raises UnboundedOrEmpty.
+    """
+    for i in range(P.dim):
+        for sign, bound, ray in ((1.0, "below", "-"), (-1.0, "above", "+")):
+            c = np.zeros(P.dim)
+            c[i] = sign
+            try:
+                simplex_lp.solve_lp(c, P.A, P.b)
+            except Unbounded:
+                raise ConfigError(
+                    "polytope",
+                    f"unbounded: x[{i}] is not bounded {bound} (the polytope contains a ray "
+                    f"along {ray}e_{i})",
+                ) from None
+            except Infeasible as exc:
+                raise UnboundedOrEmpty(f"the polytope is empty ({exc})") from None
 
 
 def lmo(P: Polytope, g) -> tuple[np.ndarray, int]:
@@ -227,6 +277,6 @@ def polytope_from_json(spec: dict) -> Polytope:
     if "preset" in spec:
         name = spec["preset"]
         if name not in _PRESETS:
-            raise DimensionMismatch(f"unknown preset {name!r}")
+            raise ConfigError("polytope.preset", f"must be one of {sorted(_PRESETS)}, got {name!r}")
         return _PRESETS[name](int(spec["dim"]), float(spec.get("scale", 1.0)))
     return Polytope(spec["A"], spec["b"])

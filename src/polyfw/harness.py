@@ -133,6 +133,11 @@ class _Problem:
         self.P = polytope_from_json(cfg.problem["polytope"])
         self.noise = noise_from_json(cfg.noise, self.P.dim)
         self.obj = objective_from_json(cfg.problem["objective"])
+        if self.obj.dim != self.P.dim:
+            raise ConfigError(
+                "problem.objective",
+                f"has dimension {self.obj.dim}, but the polytope has dimension {self.P.dim}",
+            )
         self.ref = reference_solution(self.obj, self.P)
         x0 = initial_active_set(self.P).point
         self.gap0 = self.obj.value(x0) - self.ref.f_star
@@ -314,8 +319,11 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
     seeded stream derived from (master_seed, epsilon index, replication)).
     With save_traces every cell runs in the calling process, where its trace
     is written: workers return rows only, so a pool would have to run each
-    cell a second time to get its trace.
+    cell a second time to get its trace. The output directory is created
+    only once the problem and its sample plans are built, so a config that
+    fails there leaves nothing behind.
     """
+    prob = _Problem(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, "runs.csv")
     json_path = os.path.join(cfg.output_dir, "summary.json")
@@ -323,7 +331,6 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
         (i, r) for i in range(len(cfg.epsilon_grid)) for r in range(cfg.replications)
     ]
     try:
-        prob = _Problem(cfg)
         if cfg.workers <= 1 or cfg.save_traces:
             rows = []
             for i, r in cells:

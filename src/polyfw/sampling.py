@@ -256,6 +256,8 @@ def noise_from_json(spec: dict, dim: int) -> NoiseModel:
     if kind == "gaussian":
         return NoiseModel.gaussian(spec["sigma"], dim)
     if kind == "student_t":
+        if spec["dof"] < 3:
+            raise ConfigError("noise.dof", f"student_t noise requires dof >= 3, got {spec['dof']!r}")
         return NoiseModel.student_t(spec["dof"], spec["scale"], dim)
     if kind == "rademacher":
         return NoiseModel.rademacher(spec["scale"], dim)

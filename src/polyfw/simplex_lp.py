@@ -8,10 +8,14 @@ these sizes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible, Unbounded
-from .geometry import Polytope
+
+if TYPE_CHECKING:  # geometry imports this module to prove boundedness
+    from .geometry import Polytope
 
 _PIVOT_TOL = 1e-10
 

@@ -1,12 +1,19 @@
 import itertools
+import math
+import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polyfw import geometry
 from polyfw.errors import (
+    ConfigError,
     DegeneratePolytope,
     DimensionMismatch,
     InfeasiblePoint,
+    UnboundedOrEmpty,
     UnknownVertexId,
 )
 from polyfw.geometry import (
@@ -29,7 +36,83 @@ def as_set(V, tol=1e-8):
     return {tuple(np.round(v / tol) * tol) for v in V}
 
 
+def enumerate_by_loop(P):
+    """Reference enumeration: one solve per d-row subset, pairwise dedup."""
+    A, b, d, m = P.A, P.b, P.dim, P.n_constraints
+    if m < d:
+        raise UnboundedOrEmpty(f"need at least d={d} constraints, got m={m}")
+    candidates = []
+    for rows in itertools.combinations(range(m), d):
+        sub = A[list(rows)]
+        try:
+            x = np.linalg.solve(sub, b[list(rows)])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e12:
+            continue
+        if np.linalg.norm(sub @ x - b[list(rows)]) > 1e-7 * (1.0 + np.linalg.norm(x)):
+            continue
+        if np.all(A @ x <= b + 1e-9):
+            candidates.append(x)
+    if not candidates:
+        raise UnboundedOrEmpty("no basic feasible solution found")
+    kept = []
+    for x in candidates:
+        if all(np.linalg.norm(x - y) > geometry.DEDUP_TOL for y in kept):
+            kept.append(x)
+    V = np.array(kept)
+    return V[np.lexsort(V.T[::-1])]
+
+
+def outcome(enumerate_fn, A, b):
+    """The enumeration's bytes and shape, or the type of error it raised."""
+    try:
+        V = enumerate_fn(Polytope(A, b))
+    except UnboundedOrEmpty:
+        return "UnboundedOrEmpty"
+    return V.shape, V.tobytes()
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """A box or a probability simplex in R^d (d = 2..5) cut by unit-normal
+    rows, with degenerate draws mixed in: duplicated rows, the simplex's
+    equality pair, rows through a box corner (a vertex on more than d rows)
+    and rows that cut a corner off by a hair. Some draws are empty."""
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        half = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        A = np.vstack([np.eye(d), -np.eye(d)])
+        b = np.full(2 * d, half)
+    else:
+        P = probability_simplex(d)
+        A, b, half = P.A, P.b, 1.0
+    for _ in range(draw(st.integers(0, 3 if d < 5 else 1))):
+        kind = draw(st.sampled_from(["cut", "duplicate", "corner", "near_corner", "equality_pair"]))
+        a = rng.standard_normal(d)
+        a /= np.linalg.norm(a)
+        if kind == "cut":
+            rows, rhs = [a], [draw(st.floats(-0.5, 1.5))]
+        elif kind == "duplicate":
+            i = draw(st.integers(0, len(b) - 1))
+            rows, rhs = [A[i]], [b[i]]
+        elif kind in ("corner", "near_corner"):
+            # A row through a box corner, or one that cuts it off by a margin
+            # on either side of the feasibility and dedup tolerances.
+            corner = half * rng.choice([-1.0, 1.0], d)
+            margin = draw(st.sampled_from([1e-10, 1e-8, 1e-7])) if kind == "near_corner" else 0.0
+            rows, rhs = [a], [a @ corner - margin]
+        else:
+            rows, rhs = [a, -a], [0.25, -0.25]
+        A = np.vstack([A, *rows])
+        b = np.concatenate([b, rhs])
+    return A, b
+
+
 class TestEnumerateVertices:
+
+
     def test_unit_box_corners(self):
         V = unit_box(2).vertices
         assert as_set(V) == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
@@ -63,6 +146,58 @@ class TestEnumerateVertices:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Polytope(np.eye(2), np.ones(3))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bounded_polytopes())
+    def test_batched_equals_the_loop(self, polytope):
+        A, b = polytope
+        assert outcome(enumerate_vertices, A, b) == outcome(enumerate_by_loop, A, b)
+
+    def test_presets_equal_the_loop(self):
+        for P in (unit_box(6, 2.0), unit_simplex(5), probability_simplex(5)):
+            assert outcome(enumerate_vertices, P.A, P.b) == outcome(enumerate_by_loop, P.A, P.b)
+
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch):
+        P = unit_box(6)  # C(12, 6) = 924 subsets
+        expect = outcome(enumerate_by_loop, P.A, P.b)
+        for chunk in (1, 7, 923, 924, 2048):
+            monkeypatch.setattr(geometry, "SUBSET_CHUNK", chunk)
+            assert outcome(enumerate_vertices, P.A, P.b) == expect
+
+    def test_more_subsets_than_one_chunk(self):
+        P = unit_box(8)
+        assert math.comb(P.n_constraints, P.dim) > geometry.SUBSET_CHUNK
+        assert outcome(enumerate_vertices, P.A, P.b) == outcome(enumerate_by_loop, P.A, P.b)
+
+    def test_empty_polytope(self):
+        with pytest.raises(UnboundedOrEmpty):
+            enumerate_vertices(Polytope([[1.0], [-1.0]], [0.0, -1.0]))  # x <= 0, x >= 1
+
+
+class TestBoundednessAndCap:
+    @pytest.mark.parametrize(
+        "A, b, direction",
+        [
+            (np.eye(3), np.ones(3), "-e_0"),  # {x <= 1} in R^3: one "vertex"
+            ([[1.0, 0.0]], [1.0], "-e_0"),  # m < d
+            ([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, 1.0, 0.0], "+e_0"),  # a strip
+        ],
+    )
+    def test_unbounded_is_a_config_error_naming_the_ray(self, A, b, direction):
+        with pytest.raises(ConfigError, match=re.escape(f"ray along {direction}")):
+            enumerate_vertices(Polytope(A, b))
+
+    def test_subset_cap_fails_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumeration started work above the cap")
+
+        monkeypatch.setattr(geometry, "prove_bounded", no_work)
+        monkeypatch.setattr(np.linalg, "slogdet", no_work)
+        monkeypatch.setattr(np.linalg, "solve", no_work)
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"C\(32, 16\) = 601080390"):
+            enumerate_vertices(unit_box(16))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestLMO:
@@ -192,6 +327,10 @@ class TestJSON:
         assert as_set(P.vertices) == as_set(unit_box(2).vertices)
         S = polytope_from_json({"preset": "simplex", "dim": 3})
         assert len(S.vertices) == 4
+
+    def test_unknown_preset_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="polytope.preset"):
+            polytope_from_json({"preset": "cube", "dim": 3})
 
     def test_explicit_h_form(self):
         P = polytope_from_json({"A": [[1.0], [-1.0]], "b": [1.0, 0.0]})

@@ -305,6 +305,12 @@ class TestCLI:
         poly_path.write_text(json.dumps({"preset": "simplex", "dim": 3}))
         assert cli_main(["lmo-check", str(poly_path), "--trials", "50"]) == 0
 
+    def test_lmo_check_unbounded_polytope_exits_2(self, tmp_path, capsys):
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(json.dumps({"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [1, 1, 1]}))
+        assert cli_main(["lmo-check", str(poly_path)]) == 2
+        assert "config error: polytope: unbounded" in capsys.readouterr().err
+
     def test_concentration_command(self, tmp_path):
         spec = {
             "problem": {
@@ -336,6 +342,32 @@ class TestCLI:
         path.write_text(json.dumps(base_config(tmp_path / "out", **override)))
         assert cli_main(["run", str(path)]) == 2
         assert f"config error: {next(iter(override))}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "polytope, objective, noise, field",
+        [
+            ({"preset": "cube", "dim": 3}, None, None, "polytope.preset"),
+            ({"preset": "simplex", "dim": 4}, None, None, "problem.objective"),
+            (None, None, {"kind": "student_t", "dof": 2, "scale": 1.0}, "noise.dof"),
+            ({"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [1, 1, 1]}, None, None,
+             "polytope: unbounded: x[0] is not bounded below"),
+            ({"preset": "box", "dim": 16}, {"eigenvalues": [1.0] * 16, "z": [0.5] * 16}, None,
+             "polytope: vertex enumeration needs C(m, d) = C(32, 16)"),
+        ],
+        ids=["unknown_preset", "dimension_mismatch", "student_t_dof", "unbounded", "subset_cap"],
+    )
+    def test_bad_problem_exits_2_and_leaves_no_output_dir(
+        self, tmp_path, capsys, polytope, objective, noise, field
+    ):
+        raw = base_config(tmp_path / "out")
+        raw["problem"]["polytope"] = polytope or raw["problem"]["polytope"]
+        raw["problem"]["objective"] = objective or raw["problem"]["objective"]
+        raw["noise"] = noise or raw["noise"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_p_g_rounding_to_one_exits_2_naming_m(self, tmp_path, capsys):
         # z far outside the simplex gives M = 1400, where both good-event
