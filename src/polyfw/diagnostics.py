@@ -17,7 +17,9 @@ from .objectives import QuadraticObjective, max_abs_value
 @dataclass
 class IterationRecord:
     k: int
-    step_type: str | None  # fw | fw_max | away | away_drop; None on the stop record
+    # fw | fw_max | away | away_drop, or idle (gamma = 0) for an away step whose
+    # direction was numerically zero; None on the stop record
+    step_type: str | None
     gamma: float
     gamma_max: float
     n_samples: int

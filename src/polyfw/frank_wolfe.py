@@ -17,87 +17,57 @@ DROP_TOL = 1e-12
 
 
 class ActiveSet:
-    """Convex-combination representation of the current iterate: an ordered
-    map vertex_id -> weight, all weights positive and summing to one.
+    """Convex-combination representation of the current iterate: one weight
+    per vertex of P in the array w, positive on the active vertices, zero
+    elsewhere and summing to one; point is w @ V.
 
-    Weights at or below DROP_TOL are purged and the remaining mass
+    Weights at or below DROP_TOL are zeroed and the remaining mass
     renormalized, so floating-point dust never accumulates.
     """
 
     def __init__(self, P: Polytope, weights: dict[int, float]):
         self.P = P
-        self.weights = dict(weights)
-        self._purge()
-        self._point = None
-
-    def copy(self) -> "ActiveSet":
-        return ActiveSet(self.P, self.weights)
+        self.w = np.zeros(len(P.vertices))
+        self.w[list(weights)] = list(weights.values())
+        self._settle()
 
     def __len__(self) -> int:
-        return len(self.weights)
-
-    @property
-    def point(self) -> np.ndarray:
-        if self._point is None:
-            V = self.P.vertices
-            x = np.zeros(self.P.dim)
-            for vid, w in self.weights.items():
-                x += w * V[vid]
-            self._point = x
-        return self._point
-
-    def away_vertex(self, g) -> tuple[int, float]:
-        """Active vertex maximizing g^T u; ties break to the smallest id."""
-        V = self.P.vertices
-        best_id, best_val = -1, -math.inf
-        for vid in sorted(self.weights):
-            val = float(V[vid] @ g)
-            if val > best_val:
-                best_id, best_val = vid, val
-        return best_id, self.weights[best_id]
+        return int(np.count_nonzero(self.w))
 
     def apply_fw(self, s_id: int, gamma: float) -> None:
-        """Frank-Wolfe update: full step collapses to {s}; otherwise scale
-        existing weights by (1 - gamma) and add gamma to s."""
-        if gamma >= 1.0:
-            self.weights = {s_id: 1.0}
-        else:
-            self.weights = {vid: (1.0 - gamma) * w for vid, w in self.weights.items()}
-            self.weights[s_id] = self.weights.get(s_id, 0.0) + gamma
-        self._purge()
-        self._point = None
+        """Frank-Wolfe update for gamma in [0, 1]: scale the weights by
+        (1 - gamma) and add gamma to s, so the full step collapses to {s}."""
+        self.w *= 1.0 - gamma
+        self.w[s_id] += gamma
+        self._settle()
 
     def apply_away(self, v_id: int, gamma: float, at_max: bool) -> None:
         """Away update: scale other weights by (1 + gamma); the away vertex
         gets (1 + gamma) alpha - gamma, which is dropped at the maximal step."""
-        new = {vid: (1.0 + gamma) * w for vid, w in self.weights.items()}
-        if at_max:
-            del new[v_id]
-        else:
-            new[v_id] = (1.0 + gamma) * self.weights[v_id] - gamma
-        self.weights = new
-        self._purge()
-        self._point = None
+        alpha_v = self.w[v_id]
+        self.w *= 1.0 + gamma
+        self.w[v_id] = 0.0 if at_max else (1.0 + gamma) * alpha_v - gamma
+        self._settle()
 
-    def _purge(self) -> None:
-        self.weights = {vid: w for vid, w in self.weights.items() if w > DROP_TOL}
-        total = sum(self.weights.values())
-        if not self.weights or abs(total - 1.0) > 0.5:
+    def _settle(self) -> None:
+        w = self.w
+        w[w <= DROP_TOL] = 0.0
+        total = w.sum()
+        if not abs(total - 1.0) <= 0.5:
             raise InvariantViolation(f"active-set mass {total} lost; representation corrupt")
         if total != 1.0:
-            self.weights = {vid: w / total for vid, w in self.weights.items()}
+            w /= total
+        self.point = w @ self.P.vertices
 
     def validate(self, tol_sum: float = 1e-10, tol_point: float = 1e-8) -> None:
         """Check the representation invariants; raises InvariantViolation."""
-        total = sum(self.weights.values())
+        total = self.w.sum()
         if not abs(total - 1.0) <= tol_sum:
             raise InvariantViolation(f"weights sum to {total}")
-        if not all(w > 0 for w in self.weights.values()):
-            raise InvariantViolation("nonpositive weight")
-        V = self.P.vertices
-        recon = sum(w * V[vid] for vid, w in self.weights.items())
-        if not np.linalg.norm(recon - self.point) <= tol_point:
-            raise InvariantViolation("cached point drifted")
+        if not np.all(self.w >= 0.0):
+            raise InvariantViolation("negative weight")
+        if not np.linalg.norm(self.w @ self.P.vertices - self.point) <= tol_point:
+            raise InvariantViolation("point drifted from w @ V")
 
 
 def initial_active_set(P: Polytope) -> ActiveSet:
@@ -127,17 +97,24 @@ def standard_fw_step(
 def away_fw_step(
     active: ActiveSet, g: np.ndarray, P: Polytope, L: float
 ) -> tuple[ActiveSet, dict]:
-    """One away-step Frank-Wolfe update.
+    """One away-step Frank-Wolfe update, applied to the given active set in
+    place.
 
-    Picks the better of the LMO direction and the away direction (FW on
+    Scores every vertex once by g^T u: the FW vertex s is the first minimizer
+    (as in lmo) and the away vertex v the first active maximizer, so ties
+    break to the smallest id. Picks the better of the two directions (FW on
     ties), steps by min(gamma_max, -g.d / (L ||d||^2)) and applies the
     matching weight-update case. The returned info carries the realized
     vertices and g^T(v - s), which the caller needs for the good-event test.
+    Raises DegenerateDirection, leaving the set unchanged, when the chosen
+    direction is numerically zero.
     """
+    V = P.vertices
     x = active.point
-    s, s_id = lmo(P, g)
-    v_id, alpha_v = active.away_vertex(g)
-    v = P.vertex(v_id)
+    scores = V @ g
+    s_id = int(np.argmin(scores))
+    v_id = int(np.argmax(np.where(active.w > 0.0, scores, -np.inf)))
+    s, v, alpha_v = V[s_id], V[v_id], float(active.w[v_id])
     d_fw = s - x
     d_away = x - v
     g_vs = float(g @ (v - s))  # always >= 0 by optimality of s and v
@@ -162,12 +139,11 @@ def away_fw_step(
     at_max = unclamped >= gamma_max
     gamma = gamma_max if at_max else unclamped
 
-    new = active.copy()
     if take_fw:
-        new.apply_fw(s_id, gamma)
+        active.apply_fw(s_id, gamma)
         step_type = "fw_max" if at_max else "fw"
     else:
-        new.apply_away(v_id, gamma, at_max)
+        active.apply_away(v_id, gamma, at_max)
         step_type = "away_drop" if at_max else "away"
     info = {
         "step_type": step_type,
@@ -177,7 +153,7 @@ def away_fw_step(
         "v_id": v_id,
         "g_vs": g_vs,
     }
-    return new, info
+    return active, info
 
 
 def run(
@@ -232,7 +208,7 @@ def run(
             if not np.all(P.A @ x <= P.b + 1e-8):
                 raise InvariantViolation("iterate infeasible")
         if collect_active_ids:
-            active_ids.append((tuple(sorted(active.weights)), x.copy()))
+            active_ids.append((tuple(np.flatnonzero(active.w).tolist()), x.copy()))
         f_gap = obj.value(x) - ref.f_star
         n_k = len(active)
         lyap = lyapunov(algorithm, f_gap, n_k, consts)
@@ -266,7 +242,7 @@ def run(
             except DegenerateDirection:
                 # Noisy gradient re-selected the current singleton vertex;
                 # the iterate is stationary for this estimate, so idle.
-                info = {"step_type": "fw", "gamma": 0.0, "gamma_max": 1.0, "g_vs": 0.0}
+                info = {"step_type": "idle", "gamma": 0.0, "gamma_max": 1.0, "g_vs": 0.0}
             good = grad_error <= eps_g * info["g_vs"]
 
         records.append(

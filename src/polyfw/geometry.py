@@ -278,5 +278,11 @@ def polytope_from_json(spec: dict) -> Polytope:
         name = spec["preset"]
         if name not in _PRESETS:
             raise ConfigError("polytope.preset", f"must be one of {sorted(_PRESETS)}, got {name!r}")
-        return _PRESETS[name](int(spec["dim"]), float(spec.get("scale", 1.0)))
-    return Polytope(spec["A"], spec["b"])
+        dim = int(spec["dim"])
+        if dim < 1:
+            raise ConfigError("polytope.dim", f"must be >= 1, got {dim}")
+        return _PRESETS[name](dim, float(spec.get("scale", 1.0)))
+    try:
+        return Polytope(spec["A"], spec["b"])
+    except DimensionMismatch as err:
+        raise ConfigError("polytope", str(err)) from err

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence
+from .errors import ConfigError, DimensionMismatch, NoConvergence
 from .geometry import Polytope
 
 REFERENCE_GAP_TOL = 1e-12
@@ -28,8 +28,8 @@ class QuadraticObjective:
             raise DimensionMismatch(
                 f"{lam.size} eigenvalues but z has dimension {z.size}"
             )
-        if np.any(lam <= 0):
-            raise ValueError("eigenvalues must be strictly positive")
+        if lam.size == 0 or not np.all(lam > 0):
+            raise ValueError(f"eigenvalues must be nonempty and positive, got {lam.tolist()}")
         self.eigenvalues = lam
         self.z = z
         self.rotation_seed = rotation_seed
@@ -85,7 +85,7 @@ def reference_solution(
     quadratic-upper-bound step rule until the duality gap falls below
     gap_tol * max(1, |f(x)|); that gap is the certificate.
     """
-    from .frank_wolfe import ActiveSet, away_fw_step, initial_active_set
+    from .frank_wolfe import away_fw_step, initial_active_set
 
     if P.contains(obj.z):
         return ReferenceSolution(x_star=obj.z.copy(), f_star=0.0, certified_gap=0.0)
@@ -114,8 +114,11 @@ def max_abs_value(obj: QuadraticObjective, P: Polytope) -> float:
 
 def objective_from_json(spec: dict) -> QuadraticObjective:
     """Build from {"eigenvalues": [...], "rotation_seed": int|null, "z": [...]}."""
-    return QuadraticObjective(
-        eigenvalues=spec["eigenvalues"],
-        z=spec["z"],
-        rotation_seed=spec.get("rotation_seed"),
-    )
+    try:
+        return QuadraticObjective(
+            eigenvalues=spec["eigenvalues"],
+            z=spec["z"],
+            rotation_seed=spec.get("rotation_seed"),
+        )
+    except (DimensionMismatch, ValueError) as err:
+        raise ConfigError("objective", str(err)) from err

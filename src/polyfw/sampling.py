@@ -250,17 +250,24 @@ def calibrate_subgaussian_c(
     return best
 
 
+def _nonnegative(spec: dict, key: str) -> float:
+    value = float(spec[key])
+    if not value >= 0.0:
+        raise ConfigError(f"noise.{key}", f"must be >= 0, got {spec[key]!r}")
+    return value
+
+
 def noise_from_json(spec: dict, dim: int) -> NoiseModel:
     """Build from {"kind": ..., "sigma"|"scale": ..., "dof": ...}."""
     kind = spec["kind"]
     if kind == "gaussian":
-        return NoiseModel.gaussian(spec["sigma"], dim)
+        return NoiseModel.gaussian(_nonnegative(spec, "sigma"), dim)
     if kind == "student_t":
         if spec["dof"] < 3:
             raise ConfigError("noise.dof", f"student_t noise requires dof >= 3, got {spec['dof']!r}")
-        return NoiseModel.student_t(spec["dof"], spec["scale"], dim)
+        return NoiseModel.student_t(spec["dof"], _nonnegative(spec, "scale"), dim)
     if kind == "rademacher":
-        return NoiseModel.rademacher(spec["scale"], dim)
+        return NoiseModel.rademacher(_nonnegative(spec, "scale"), dim)
     raise ConfigError("noise.kind", f"must be gaussian|student_t|rademacher, got {kind!r}")
 
 
@@ -270,5 +277,7 @@ def plan_from_json(spec: dict) -> SamplePlan:
     if mode not in PLAN_MODES:
         raise ConfigError("sampling.mode", f"must be one of {'|'.join(PLAN_MODES)}, got {mode!r}")
     if mode == "fixed":
+        if int(spec["n"]) < 1:
+            raise ConfigError("sampling.n", f"fixed mode needs n >= 1, got {spec['n']!r}")
         return SamplePlan.fixed(spec["n"])
     return SamplePlan(mode=mode, params=dict(spec.get("params", {})))

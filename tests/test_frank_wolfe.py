@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,15 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyfw
+from conftest import random_polytope
+from polyfw import frank_wolfe
 from polyfw.diagnostics import compute_constants
+from polyfw.errors import DegenerateDirection, InvariantViolation
 from polyfw.frank_wolfe import (
+    DROP_TOL,
     ActiveSet,
     away_fw_step,
     initial_active_set,
     run,
     standard_fw_step,
 )
-from polyfw.geometry import geometry_constants, lmo, unit_box, unit_simplex
+from polyfw.geometry import Polytope, geometry_constants, lmo, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective, reference_solution
 from polyfw.sampling import NoiseModel, SamplePlan
 
@@ -23,6 +28,72 @@ from polyfw.sampling import NoiseModel, SamplePlan
 # unit_box(2) vertices in lexicographic order:
 # 0 -> (0,0), 1 -> (0,1), 2 -> (1,0), 3 -> (1,1)
 BOX = unit_box(2)
+
+
+def dense(weights: dict[int, float], n: int = 4) -> np.ndarray:
+    """The weight vector over n vertices of a {vertex_id: weight} map."""
+    w = np.zeros(n)
+    for vid, wt in weights.items():
+        w[vid] = wt
+    return w
+
+
+class DictActiveSet:
+    """Reference copy of the dict-based active set that the dense weight
+    vector replaced: an insertion-ordered map vertex_id -> weight, a lazily
+    cached point, and an away vertex found by a loop over the sorted ids."""
+
+    def __init__(self, P: Polytope, weights: dict[int, float]):
+        self.P = P
+        self.weights = dict(weights)
+        self._purge()
+        self._point = None
+
+    @property
+    def point(self) -> np.ndarray:
+        if self._point is None:
+            V = self.P.vertices
+            x = np.zeros(self.P.dim)
+            for vid, w in self.weights.items():
+                x += w * V[vid]
+            self._point = x
+        return self._point
+
+    def away_vertex(self, g) -> tuple[int, float]:
+        V = self.P.vertices
+        best_id, best_val = -1, -math.inf
+        for vid in sorted(self.weights):
+            val = float(V[vid] @ g)
+            if val > best_val:
+                best_id, best_val = vid, val
+        return best_id, self.weights[best_id]
+
+    def apply_fw(self, s_id: int, gamma: float) -> None:
+        if gamma >= 1.0:
+            self.weights = {s_id: 1.0}
+        else:
+            self.weights = {vid: (1.0 - gamma) * w for vid, w in self.weights.items()}
+            self.weights[s_id] = self.weights.get(s_id, 0.0) + gamma
+        self._purge()
+        self._point = None
+
+    def apply_away(self, v_id: int, gamma: float, at_max: bool) -> None:
+        new = {vid: (1.0 + gamma) * w for vid, w in self.weights.items()}
+        if at_max:
+            del new[v_id]
+        else:
+            new[v_id] = (1.0 + gamma) * self.weights[v_id] - gamma
+        self.weights = new
+        self._purge()
+        self._point = None
+
+    def _purge(self) -> None:
+        self.weights = {vid: w for vid, w in self.weights.items() if w > DROP_TOL}
+        total = sum(self.weights.values())
+        if not self.weights or abs(total - 1.0) > 0.5:
+            raise InvariantViolation(f"active-set mass {total} lost; representation corrupt")
+        if total != 1.0:
+            self.weights = {vid: w / total for vid, w in self.weights.items()}
 
 
 class TestActiveSet:
@@ -33,23 +104,23 @@ class TestActiveSet:
     def test_apply_fw_partial_step(self):
         a = ActiveSet(BOX, {0: 0.5, 3: 0.5})
         a.apply_fw(1, 0.2)
-        assert a.weights == pytest.approx({0: 0.4, 3: 0.4, 1: 0.2})
+        assert a.w == pytest.approx(dense({0: 0.4, 3: 0.4, 1: 0.2}))
 
     def test_apply_fw_full_step_collapses(self):
         a = ActiveSet(BOX, {0: 0.5, 3: 0.5})
         a.apply_fw(1, 1.0)
-        assert a.weights == {1: 1.0}
+        assert np.array_equal(a.w, dense({1: 1.0}))
 
     def test_apply_away_interior(self):
         # alpha_v = 0.25, gamma = 0.2: v gets 1.2*0.25 - 0.2 = 0.1.
         a = ActiveSet(BOX, {0: 0.25, 3: 0.75})
         a.apply_away(0, 0.2, at_max=False)
-        assert a.weights == pytest.approx({0: 0.1, 3: 0.9})
+        assert a.w == pytest.approx(dense({0: 0.1, 3: 0.9}))
 
     def test_apply_away_drop_renormalizes(self):
         a = ActiveSet(BOX, {0: 0.25, 1: 0.25, 3: 0.5})
         a.apply_away(3, 1.0, at_max=True)  # gamma_max = 0.5/0.5
-        assert a.weights == pytest.approx({0: 0.5, 1: 0.5})
+        assert a.w == pytest.approx(dense({0: 0.5, 1: 0.5}))
         a.validate()
 
     def test_validate_raises_under_python_O(self):
@@ -58,7 +129,7 @@ class TestActiveSet:
             "from polyfw.frank_wolfe import ActiveSet\n"
             "from polyfw.geometry import unit_box\n"
             "a = ActiveSet(unit_box(2), {0: 1.0})\n"
-            "a.weights = {0: 0.5}\n"
+            "a.w[0] = 0.5\n"
             "a.validate()\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(polyfw.__file__)))
@@ -71,13 +142,14 @@ class TestActiveSet:
 
     def test_purges_dust(self):
         a = ActiveSet(BOX, {0: 1.0 - 1e-14, 3: 1e-14})
-        assert set(a.weights) == {0}
-        assert a.weights[0] == 1.0
+        assert set(np.flatnonzero(a.w)) == {0}
+        assert a.w[0] == 1.0
 
     def test_away_vertex_tie_breaks_to_smallest_id(self):
+        # away_fw_step reports the away vertex it chose.
         a = ActiveSet(BOX, {1: 0.5, 2: 0.5})  # (0,1) and (1,0)
-        vid, alpha = a.away_vertex(np.array([1.0, 1.0]))
-        assert vid == 1 and alpha == 0.5
+        _, info = away_fw_step(a, np.array([1.0, 1.0]), BOX, L=1.0)
+        assert info["v_id"] == 1
 
     def test_corrupt_mass_raises(self):
         with pytest.raises(ValueError):
@@ -99,11 +171,72 @@ class TestActiveSet:
         assert np.all(BOX.A @ a.point <= BOX.b + 1e-9)
 
 
+REFERENCE_POLYTOPES = {
+    "box": unit_box(3),
+    "simplex": unit_simplex(3),
+    "random": random_polytope(np.random.default_rng(5), 3, extra=4),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(REFERENCE_POLYTOPES)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["fw", "away", "step"]),
+            st.integers(0, 2**32 - 1),
+            st.floats(0.0, 1.0),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_dense_set_matches_dict_reference(name, ops):
+    # Random FW and away updates, and away steps from random gradients,
+    # applied to the dense set and to the dict-based reference.
+    P = REFERENCE_POLYTOPES[name]
+    N = len(P.vertices)
+    _, vid0 = lmo(P, np.ones(P.dim))
+    new, ref = ActiveSet(P, {vid0: 1.0}), DictActiveSet(P, {vid0: 1.0})
+    for kind, seed, frac, at_max in ops:
+        if kind == "fw":
+            new.apply_fw(seed % N, frac)
+            ref.apply_fw(seed % N, frac)
+        elif kind == "away":
+            ids = sorted(ref.weights)
+            v_id = ids[seed % len(ids)]
+            alpha = ref.weights[v_id]
+            if alpha >= 1.0:
+                continue
+            gamma = alpha / (1.0 - alpha) * (1.0 if at_max else frac)
+            new.apply_away(v_id, gamma, at_max)
+            ref.apply_away(v_id, gamma, at_max)
+        else:
+            g = np.random.default_rng(seed).standard_normal(P.dim)
+            before = new.w.copy()
+            try:
+                _, info = away_fw_step(new, g, P, L=0.5 + 4.0 * frac)
+            except DegenerateDirection:
+                assert np.array_equal(new.w, before)
+                continue
+            assert info["s_id"] == lmo(P, g)[1]
+            assert info["v_id"] == ref.away_vertex(g)[0]
+            if info["step_type"].startswith("fw"):
+                ref.apply_fw(info["s_id"], info["gamma"])
+            else:
+                ref.apply_away(info["v_id"], info["gamma"], info["step_type"] == "away_drop")
+        assert set(np.flatnonzero(new.w)) == set(ref.weights)
+        np.testing.assert_allclose(new.w, dense(ref.weights, N), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new.point, ref.point, rtol=0, atol=1e-12)
+        assert len(new) == len(ref.weights)
+
+
 def test_initial_active_set_is_min_ones_vertex():
     a = initial_active_set(unit_simplex(3))
-    assert list(a.weights.values()) == [1.0]
+    assert a.w[a.w > 0].tolist() == [1.0]
     _, vid = lmo(unit_simplex(3), np.ones(3))
-    assert set(a.weights) == {vid}
+    assert set(np.flatnonzero(a.w)) == {vid}
 
 
 class TestStandardStep:
@@ -121,7 +254,7 @@ class TestStandardStep:
         g = np.array([1.0, 1.0])
         a2, info = standard_fw_step(a, g, BOX, epsilon=10.0, L=1.0, D=1.0)
         assert info["gamma"] == 1.0 and info["step_type"] == "fw_max"
-        assert a2.weights == {0: 1.0}
+        assert np.array_equal(a2.w, dense({0: 1.0}))
         np.testing.assert_allclose(a2.point, [0.0, 0.0])
 
 
@@ -130,22 +263,31 @@ class TestAwayStep:
         a = ActiveSet(BOX, {3: 1.0})
         new, info = away_fw_step(a, np.array([1.0, 1.0]), BOX, L=1.0)
         assert info["step_type"] == "fw_max"
-        assert new.weights == {0: 1.0}
+        assert np.array_equal(new.w, dense({0: 1.0}))
 
     def test_away_drop_case(self):
         a = ActiveSet(BOX, {0: 0.75, 3: 0.25})  # x = (0.25, 0.25)
         new, info = away_fw_step(a, np.array([1.0, 1.0]), BOX, L=1.0)
         assert info["step_type"] == "away_drop"
         assert info["gamma"] == pytest.approx(1.0 / 3.0)
-        assert new.weights == {0: 1.0}
+        assert np.array_equal(new.w, dense({0: 1.0}))
 
     def test_away_interior_case(self):
         # Same geometry with L = 10 keeps the step interior: gamma = 2/15.
         a = ActiveSet(BOX, {0: 0.75, 3: 0.25})
         new, info = away_fw_step(a, np.array([1.0, 1.0]), BOX, L=10.0)
+        assert new is a
         assert info["step_type"] == "away"
         assert info["gamma"] == pytest.approx(2.0 / 15.0)
-        assert new.weights == pytest.approx({0: 0.85, 3: 0.15})
+        assert new.w == pytest.approx(dense({0: 0.85, 3: 0.15}))
+
+    def test_degenerate_direction_leaves_the_set_unchanged(self):
+        # g = (1, 1) at the singleton (0, 0) re-selects vertex 0: d = 0.
+        a = ActiveSet(BOX, {0: 1.0})
+        with pytest.raises(DegenerateDirection):
+            away_fw_step(a, np.array([1.0, 1.0]), BOX, L=1.0)
+        assert np.array_equal(a.w, dense({0: 1.0}))
+        np.testing.assert_array_equal(a.point, [0.0, 0.0])
 
     def test_g_vs_is_nonnegative(self, rng):
         for _ in range(50):
@@ -219,6 +361,19 @@ class TestRun:
                 alpha[v_id] = (1.0 + gamma) * a_v - gamma
             alpha[alpha <= 1e-12] = 0.0
             alpha /= alpha.sum()
+
+    def test_degenerate_away_step_is_recorded_idle(self, monkeypatch):
+        # A gradient estimate of (1, 1, 1) at the initial vertex, the origin
+        # of the simplex, re-selects the origin, so every step is idle.
+        obj, P = self.problem()
+        monkeypatch.setattr(frank_wolfe, "estimate_gradient", lambda *a: np.ones(3))
+        trace = run("away", obj, P, NoiseModel.gaussian(0.1, 3), SamplePlan.fixed(1),
+                    0.01, 3, None)
+        steps = trace.records[:-1]
+        assert [r.step_type for r in steps] == ["idle"] * 3
+        assert all(r.gamma == 0.0 and not r.good_event for r in steps)
+        assert len({r.f_gap for r in trace.records}) == 1
+        assert trace.T_eps is None
 
     def test_max_iter_exhaustion(self):
         obj, P = self.problem()

@@ -60,11 +60,20 @@ CONFIGS = {
 }
 
 
+def golden_config(name: str, out_dir: str, seed: int = 71) -> dict:
+    """The `polyfw run` config of one golden experiment; the fixtures use seed 71."""
+    return {**CONFIGS[name], "replications": 2, "master_seed": seed, "max_iter": 10**5,
+            "output_dir": out_dir}
+
+
 def golden_outputs(name: str, out_dir: str) -> dict[str, str]:
     """Run one config into out_dir; return the compared outputs by file name."""
-    raw = {**CONFIGS[name], "replications": 2, "master_seed": 71, "max_iter": 10**5,
-           "output_dir": out_dir}
-    run_experiment(ExperimentConfig.from_dict(raw))
+    run_experiment(ExperimentConfig.from_dict(golden_config(name, out_dir)))
+    return read_outputs(out_dir)
+
+
+def read_outputs(out_dir: str) -> dict[str, str]:
+    """The compared outputs of a finished run in out_dir, by file name."""
     with open(os.path.join(out_dir, "runs.csv")) as fh:
         runs = "".join(line.rsplit(",", 1)[0] + "\n" for line in fh)
     with open(os.path.join(out_dir, "summary.json")) as fh:

@@ -334,8 +334,9 @@ class TestCLI:
             {"sampling": {"mode": "no_such_mode"}},
             {"workers": 0},
             {"max_iter": -5},
+            {"sampling": {"mode": "fixed", "n": 0}},
         ],
-        ids=["noise_kind", "sampling_mode", "workers", "max_iter"],
+        ids=["noise_kind", "sampling_mode", "workers", "max_iter", "fixed_n_zero"],
     )
     def test_invalid_field_exits_2(self, tmp_path, capsys, override):
         path = tmp_path / "bad.json"
@@ -353,8 +354,24 @@ class TestCLI:
              "polytope: unbounded: x[0] is not bounded below"),
             ({"preset": "box", "dim": 16}, {"eigenvalues": [1.0] * 16, "z": [0.5] * 16}, None,
              "polytope: vertex enumeration needs C(m, d) = C(32, 16)"),
+            (None, {"eigenvalues": [1.0, -2.0, 3.0], "z": [0.4, 0.3, 0.2]}, None,
+             "objective: eigenvalues must be nonempty and positive"),
+            (None, {"eigenvalues": [], "z": []}, None,
+             "objective: eigenvalues must be nonempty and positive"),
+            (None, None, {"kind": "gaussian", "sigma": -1.0}, "noise.sigma: must be >= 0"),
+            (None, None, {"kind": "rademacher", "scale": -1.0}, "noise.scale: must be >= 0"),
+            ({"preset": "box", "dim": 0}, {"eigenvalues": [], "z": []}, None,
+             "polytope.dim: must be >= 1, got 0"),
+            ({"preset": "simplex", "dim": -1}, None, None, "polytope.dim: must be >= 1, got -1"),
+            ({"A": [[1, 0, 0], [0, 1, 0]], "b": [1, 1, 1]}, None, None,
+             "polytope: A has 2 rows but b has 3 entries"),
+            (None, {"eigenvalues": [1.0, 2.0], "z": [0.4, 0.3, 0.2]}, None,
+             "objective: 2 eigenvalues but z has dimension 3"),
         ],
-        ids=["unknown_preset", "dimension_mismatch", "student_t_dof", "unbounded", "subset_cap"],
+        ids=["unknown_preset", "dimension_mismatch", "student_t_dof", "unbounded", "subset_cap",
+             "nonpositive_eigenvalue", "empty_objective", "negative_sigma",
+             "negative_rademacher_scale", "box_dim_zero", "simplex_dim_negative",
+             "a_b_row_mismatch", "eigenvalues_z_length_mismatch"],
     )
     def test_bad_problem_exits_2_and_leaves_no_output_dir(
         self, tmp_path, capsys, polytope, objective, noise, field
