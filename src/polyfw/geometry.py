@@ -29,6 +29,12 @@ DEDUP_TOL = 1e-8
 MAX_SUBSETS = 10**6
 # d-row subsets per stacked solve; bounds the chunk's arrays to 2048 d x d systems.
 SUBSET_CHUNK = 2048
+# Floats per block of vertex-pair differences in the diameter (8 MB).
+PAIR_BLOCK = 2**20
+# A basis whose |det| is below this share of the product of its row norms
+# (Hadamard's bound) is numerically singular, e.g. a row and a rounded
+# multiple of it: its solve() lands on a spurious point.
+SINGULAR_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,13 +105,18 @@ def enumerate_vertices(P: Polytope) -> np.ndarray:
     """All basic feasible solutions of Ax <= b, deduplicated and sorted
     lexicographically by coordinates.
 
-    Solves A_S x = b_S for every d-subset S of rows with a nonsingular
-    submatrix and keeps feasible solutions; the subsets are taken in
-    itertools.combinations order, SUBSET_CHUNK at a time, with one stacked
-    solve per chunk. A candidate is kept when it lies farther than DEDUP_TOL
-    from every candidate kept before it. Desk scale only: more than
-    MAX_SUBSETS subsets, or an unbounded polytope (proven by linear programs
-    before any solve), raise ConfigError.
+    Solves A_S x = b_S for every basis S of d rows whose submatrix is not
+    numerically singular (see SINGULAR_RATIO) and keeps feasible solutions
+    that solve() returns accurately. The bases are the d-row subsets
+    that take at most one row of each class of `parallel_classes`; a subset
+    holding a row together with a multiple of it (its negation, say) is
+    singular and is never solved. They are taken SUBSET_CHUNK at a time, with
+    one stacked solve per chunk. The feasible candidates are put in
+    itertools.combinations order of their rows, and a candidate is kept when
+    it lies farther than DEDUP_TOL from every candidate kept before it.
+    Desk scale only: more than MAX_SUBSETS d-row subsets, C(m, d), counted
+    whether skipped or not, or an unbounded polytope (proven by linear
+    programs before any solve), raise ConfigError.
     """
     A, b, d, m = P.A, P.b, P.dim, P.n_constraints
     n_subsets = math.comb(m, d)
@@ -116,37 +127,82 @@ def enumerate_vertices(P: Polytope) -> np.ndarray:
             f"above the cap of {MAX_SUBSETS}",
         )
     prove_bounded(P)
-    subsets = itertools.combinations(range(m), d)
-    candidates = [np.empty((0, d))]
+    bases = itertools.chain.from_iterable(
+        itertools.starmap(itertools.product, itertools.combinations(parallel_classes(A), d))
+    )
+    # Zero rows, never in a nonsingular basis, read as norm 1.
+    log_norms = np.log(np.where(P.row_norms > 0, P.row_norms, 1.0))
+    candidates, candidate_rows = [np.empty((0, d))], [np.empty((0, d), dtype=np.intp)]
     while True:
-        chunk = itertools.chain.from_iterable(itertools.islice(subsets, SUBSET_CHUNK))
+        chunk = itertools.chain.from_iterable(itertools.islice(bases, SUBSET_CHUNK))
         rows = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
         if not len(rows):
             break
+        # Stable sorts here and in first_kept run lexsort's merge sort, so
+        # they page in no further sort kernel (peak RSS of small runs).
+        rows.sort(axis=1, kind="stable")
         sub, rhs = A[rows], b[rows]
         # slogdet's sign is 0 exactly when the LU factorization that solve()
         # runs meets a zero pivot, i.e. when solve() would raise.
-        nonsingular = np.linalg.slogdet(sub)[0] != 0
-        sub, rhs = sub[nonsingular], rhs[nonsingular]
+        sign, logdet = np.linalg.slogdet(sub)
+        ratio = logdet - log_norms[rows].sum(axis=1)
+        nonsingular = (sign != 0) & (ratio > math.log(SINGULAR_RATIO))
+        sub, rhs, rows = sub[nonsingular], rhs[nonsingular], rows[nonsingular]
         x = np.linalg.solve(sub, rhs[..., None])[..., 0]
         norm = np.linalg.norm(x, axis=1)
         resid = np.linalg.norm((sub @ x[..., None])[..., 0] - rhs, axis=1)
         # Guard against nearly singular bases that solve() tolerated.
         ok = np.isfinite(x).all(axis=1) & ~(norm > 1e12) & ~(resid > 1e-7 * (1.0 + norm))
-        x = x[ok]
-        candidates.append(x[(x @ A.T <= b + 1e-9).all(axis=1)])
+        x, rows = x[ok], rows[ok]
+        feasible = (x @ A.T <= b + 1e-9).all(axis=1)
+        candidates.append(x[feasible])
+        candidate_rows.append(rows[feasible])
     X = np.concatenate(candidates)
     if not len(X):
         raise UnboundedOrEmpty("no basic feasible solution found")
-    kept = np.empty_like(X)
-    n_kept = 0
-    for x in X:
-        if np.all(np.linalg.norm(kept[:n_kept] - x, axis=1) > DEDUP_TOL):
-            kept[n_kept] = x
-            n_kept += 1
-    V = kept[:n_kept]
-    order = np.lexsort(V.T[::-1])
-    return V[order]
+    X = X[np.lexsort(np.concatenate(candidate_rows).T[::-1])]
+    V = X[first_kept(X)]
+    return V[np.lexsort(V.T[::-1])]
+
+
+def parallel_classes(A: np.ndarray) -> list[tuple[int, ...]]:
+    """Row indices of A grouped into classes of exact multiples, each class
+    in row order and the classes in order of their first row.
+
+    Rows share a class when they are equal after division by their first
+    nonzero entry, as a row, its negation and its duplicates are. With no
+    two such rows every class is a singleton.
+    """
+    first = A[np.arange(len(A)), (A != 0).argmax(axis=1)]
+    scaled = A / np.where(first == 0.0, 1.0, first)[:, None] + 0.0  # + 0.0 folds -0.0
+    classes: dict[bytes, list[int]] = {}
+    for i, row in enumerate(scaled):
+        classes.setdefault(row.tobytes(), []).append(i)
+    return [tuple(c) for c in classes.values()]
+
+
+def first_kept(X: np.ndarray) -> np.ndarray:
+    """Mask of the rows of X that lie farther than DEDUP_TOL from every row
+    kept before them.
+
+    A row with no other row within DEDUP_TOL is kept and blocks none, so
+    only rows whose projection on a fixed unit direction comes within twice
+    DEDUP_TOL (plus rounding) of another's go through the greedy scan.
+    """
+    u = np.sqrt(np.arange(2.0, X.shape[1] + 2))
+    p = X @ (u / np.linalg.norm(u))
+    window = 2 * DEDUP_TOL + 1e-12 * (1.0 + np.abs(X).sum(axis=1).max())
+    order = np.argsort(p, kind="stable")
+    close = np.diff(p[order]) <= window
+    near = np.zeros(len(X), dtype=bool)
+    near[order[1:][close]] = near[order[:-1][close]] = True
+    keep = ~near
+    kept = []
+    for i in np.flatnonzero(near):
+        if np.all(np.linalg.norm(X[kept] - X[i], axis=1) > DEDUP_TOL):
+            keep[i] = True
+            kept.append(i)
+    return keep
 
 
 def prove_bounded(P: Polytope) -> None:
@@ -224,8 +280,13 @@ def geometry_constants(P: Polytope, tol: float = FEAS_TOL) -> GeometryConstants:
         return P._geo
     V = P.vertices
     N = len(V)
-    diffs = V[:, None, :] - V[None, :, :]
-    D = float(np.sqrt((diffs**2).sum(axis=2).max()))
+    # Pairwise squared distances a block of rows at a time: each block's
+    # difference array holds at most PAIR_BLOCK floats.
+    block = max(1, PAIR_BLOCK // (N * P.dim))
+    D = float(np.sqrt(max(
+        ((V[i : i + block, None, :] - V[None, :, :]) ** 2).sum(axis=2).max()
+        for i in range(0, N, block)
+    )))
     if D == 0.0:
         raise DegeneratePolytope("the polytope is a single point (diameter 0)")
     slack = P.b[None, :] - V @ P.A.T  # (N, m)
@@ -281,8 +342,15 @@ def polytope_from_json(spec: dict) -> Polytope:
         dim = int(spec["dim"])
         if dim < 1:
             raise ConfigError("polytope.dim", f"must be >= 1, got {dim}")
-        return _PRESETS[name](dim, float(spec.get("scale", 1.0)))
+        scale = float(spec.get("scale", 1.0))
+        if not math.isfinite(scale):
+            raise ConfigError("polytope.scale", f"must be finite, got {scale}")
+        return _PRESETS[name](dim, scale)
     try:
-        return Polytope(spec["A"], spec["b"])
+        P = Polytope(spec["A"], spec["b"])
     except DimensionMismatch as err:
         raise ConfigError("polytope", str(err)) from err
+    for field, values in (("A", P.A), ("b", P.b)):
+        if not np.isfinite(values).all():
+            raise ConfigError(f"polytope.{field}", "must be finite")
+    return P

@@ -115,10 +115,13 @@ def max_abs_value(obj: QuadraticObjective, P: Polytope) -> float:
 def objective_from_json(spec: dict) -> QuadraticObjective:
     """Build from {"eigenvalues": [...], "rotation_seed": int|null, "z": [...]}."""
     try:
-        return QuadraticObjective(
+        obj = QuadraticObjective(
             eigenvalues=spec["eigenvalues"],
             z=spec["z"],
             rotation_seed=spec.get("rotation_seed"),
         )
     except (DimensionMismatch, ValueError) as err:
         raise ConfigError("objective", str(err)) from err
+    if not np.isfinite(obj.z).all():
+        raise ConfigError("objective.z", "must be finite")
+    return obj

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,21 +37,43 @@ def as_set(V, tol=1e-8):
     return {tuple(np.round(v / tol) * tol) for v in V}
 
 
+def parallel_rows(A):
+    """par[i, j]: rows i and j are equal after division by their first
+    nonzero entries (a row, its negation, a duplicate)."""
+    scaled = [row / row[np.flatnonzero(row)[0]] if row.any() else row for row in A]
+    return np.array([[np.array_equal(r, s) for s in scaled] for r in scaled])
+
+
+def loop_bases(P):
+    """The d-row subsets the reference loop solves: those with no two parallel rows."""
+    par = parallel_rows(P.A)
+    for rows in itertools.combinations(range(P.n_constraints), P.dim):
+        if not any(par[i, j] for i, j in itertools.combinations(rows, 2)):
+            yield list(rows)
+
+
 def enumerate_by_loop(P):
-    """Reference enumeration: one solve per d-row subset, pairwise dedup."""
+    """Reference enumeration: one solve per d-row subset without two
+    parallel rows and with |det| above SINGULAR_RATIO times the product of
+    its row norms, pairwise dedup."""
     A, b, d, m = P.A, P.b, P.dim, P.n_constraints
     if m < d:
         raise UnboundedOrEmpty(f"need at least d={d} constraints, got m={m}")
     candidates = []
-    for rows in itertools.combinations(range(m), d):
-        sub = A[list(rows)]
+    for rows in loop_bases(P):
+        sub = A[rows]
+        sign, logdet = np.linalg.slogdet(sub)
+        if sign == 0 or logdet - np.log(np.linalg.norm(sub, axis=1)).sum() <= math.log(
+            geometry.SINGULAR_RATIO
+        ):
+            continue
         try:
-            x = np.linalg.solve(sub, b[list(rows)])
+            x = np.linalg.solve(sub, b[rows])
         except np.linalg.LinAlgError:
             continue
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e12:
             continue
-        if np.linalg.norm(sub @ x - b[list(rows)]) > 1e-7 * (1.0 + np.linalg.norm(x)):
+        if np.linalg.norm(sub @ x - b[rows]) > 1e-7 * (1.0 + np.linalg.norm(x)):
             continue
         if np.all(A @ x <= b + 1e-9):
             candidates.append(x)
@@ -77,7 +100,8 @@ def outcome(enumerate_fn, A, b):
 def bounded_polytopes(draw):
     """A box or a probability simplex in R^d (d = 2..5) cut by unit-normal
     rows, with degenerate draws mixed in: duplicated rows, the simplex's
-    equality pair, rows through a box corner (a vertex on more than d rows)
+    equality pair, an equality pair whose second row is a rounded multiple
+    of the first, rows through a box corner (a vertex on more than d rows)
     and rows that cut a corner off by a hair. Some draws are empty."""
     d = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -89,7 +113,9 @@ def bounded_polytopes(draw):
         P = probability_simplex(d)
         A, b, half = P.A, P.b, 1.0
     for _ in range(draw(st.integers(0, 3 if d < 5 else 1))):
-        kind = draw(st.sampled_from(["cut", "duplicate", "corner", "near_corner", "equality_pair"]))
+        kind = draw(st.sampled_from(
+            ["cut", "duplicate", "corner", "near_corner", "equality_pair", "scaled_equality_pair"]
+        ))
         a = rng.standard_normal(d)
         a /= np.linalg.norm(a)
         if kind == "cut":
@@ -103,8 +129,12 @@ def bounded_polytopes(draw):
             corner = half * rng.choice([-1.0, 1.0], d)
             margin = draw(st.sampled_from([1e-10, 1e-8, 1e-7])) if kind == "near_corner" else 0.0
             rows, rhs = [a], [a @ corner - margin]
-        else:
+        elif kind == "equality_pair":
             rows, rhs = [a, -a], [0.25, -0.25]
+        else:
+            # -k a is not an exact multiple of a in floating point.
+            k = draw(st.floats(0.2, 5.0))
+            rows, rhs = [a, -k * a], [0.25, -0.25 * k]
         A = np.vstack([A, *rows])
         b = np.concatenate([b, rhs])
     return A, b
@@ -157,17 +187,52 @@ class TestEnumerateVertices:
         for P in (unit_box(6, 2.0), unit_simplex(5), probability_simplex(5)):
             assert outcome(enumerate_vertices, P.A, P.b) == outcome(enumerate_by_loop, P.A, P.b)
 
-    def test_chunk_boundaries_do_not_matter(self, monkeypatch):
-        P = unit_box(6)  # C(12, 6) = 924 subsets
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch, rng):
+        P = random_polytope(rng, 5, extra=6)
+        n_bases = sum(1 for _ in loop_bases(P))
+        assert n_bases > geometry.SUBSET_CHUNK
         expect = outcome(enumerate_by_loop, P.A, P.b)
-        for chunk in (1, 7, 923, 924, 2048):
+        for chunk in (1, 7, n_bases - 1, n_bases, 2 * n_bases):
             monkeypatch.setattr(geometry, "SUBSET_CHUNK", chunk)
             assert outcome(enumerate_vertices, P.A, P.b) == expect
 
-    def test_more_subsets_than_one_chunk(self):
-        P = unit_box(8)
-        assert math.comb(P.n_constraints, P.dim) > geometry.SUBSET_CHUNK
+    def test_more_subsets_than_one_chunk(self, rng):
+        P = random_polytope(rng, 5, extra=6)
+        assert sum(1 for _ in loop_bases(P)) > geometry.SUBSET_CHUNK
         assert outcome(enumerate_vertices, P.A, P.b) == outcome(enumerate_by_loop, P.A, P.b)
+
+    def test_box_skips_every_subset_with_parallel_rows(self, monkeypatch):
+        factored = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: factored.append(len(a)) or slogdet(a))
+        assert len(enumerate_vertices(unit_box(8))) == 256
+        assert sum(factored) == 2**8  # not C(16, 8) = 12870
+
+    @pytest.mark.parametrize("k", [1.0, 3.0, 7.0])
+    def test_equality_pair_gives_no_spurious_vertex(self, k):
+        # A segment: the pair a.x <= 1/4, -k a.x <= -k/4 inside a cut square.
+        # Its basis {a, -k a} is singular, yet with cond ~1e16 it passed the
+        # residual guard and added a third "vertex" with active rank 1. At
+        # k = 1 the rows share a parallel class; at k = 3 and 7 the rounded
+        # -k a is no exact multiple of a, and the determinant guard drops it.
+        a = np.array([0.7300381777342467, 0.6834063645083065])
+        A = np.vstack(
+            [np.eye(2), -np.eye(2), [[-0.9989580607831187, -0.04563762478953964]], a, -k * a]
+        )
+        b = np.array([1.0, 1.0, 1.0, 1.0, 1.0445956854726584, 0.25, -0.25 * k])
+        assert len(enumerate_vertices(Polytope(A, b))) == 2
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bounded_polytopes())
+    def test_every_vertex_is_feasible_with_d_independent_active_rows(self, polytope):
+        P = Polytope(*polytope)
+        try:
+            V = enumerate_vertices(P)
+        except UnboundedOrEmpty:
+            return  # an empty draw
+        for v in V:
+            active = sorted(active_index_set(P, v))  # raises InfeasiblePoint if infeasible
+            assert np.linalg.matrix_rank(P.A[active], tol=1e-9) == P.dim
 
     def test_empty_polytope(self):
         with pytest.raises(UnboundedOrEmpty):
@@ -301,6 +366,25 @@ class TestGeometryConstants:
         assert geo2.zeta == geo.zeta
         assert geo2.phi == geo.phi
         assert geo2.D == geo.D
+
+    @pytest.mark.parametrize("pair_block", [1, 7 * 3 * 10, geometry.PAIR_BLOCK])
+    def test_blocked_diameter_equals_the_full_pair_array(self, monkeypatch, rng, pair_block):
+        P = random_polytope(rng, 3, extra=4)
+        V = P.vertices
+        full = float(np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(axis=2).max()))
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", pair_block)
+        assert geometry_constants(P).D == full
+
+    def test_diameter_memory_is_bounded(self):
+        # The full N x N x d pair array of the d = 10 box alone takes 80 MB.
+        tracemalloc.start()
+        try:
+            geo = geometry_constants(unit_box(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert geo.N == 1024 and geo.D == math.sqrt(10)
+        assert peak <= 32 * 2**20
 
     def test_degenerate_all_active(self):
         P = Polytope([[1.0], [-1.0]], [0.0, 0.0])  # the single point {0}

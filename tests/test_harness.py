@@ -21,6 +21,8 @@ from polyfw.harness import (
 from polyfw.objectives import QuadraticObjective
 from polyfw.sampling import NoiseModel
 
+BOX3_A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
 
 def base_config(output_dir, **overrides):
     raw = {
@@ -367,11 +369,20 @@ class TestCLI:
              "polytope: A has 2 rows but b has 3 entries"),
             (None, {"eigenvalues": [1.0, 2.0], "z": [0.4, 0.3, 0.2]}, None,
              "objective: 2 eigenvalues but z has dimension 3"),
+            ({"A": BOX3_A, "b": [1.0, 1.0, 1.0, math.nan, 0.0, 0.0]}, None, None,
+             "polytope.b: must be finite"),
+            ({"A": [[math.inf, 0, 0]] + BOX3_A[1:], "b": [1, 1, 1, 0, 0, 0]}, None, None,
+             "polytope.A: must be finite"),
+            ({"preset": "box", "dim": 3, "scale": math.inf}, None, None,
+             "polytope.scale: must be finite"),
+            (None, {"eigenvalues": [1.0, 2.0, 3.0], "z": [math.inf, 0.3, 0.2]}, None,
+             "objective.z: must be finite"),
         ],
         ids=["unknown_preset", "dimension_mismatch", "student_t_dof", "unbounded", "subset_cap",
              "nonpositive_eigenvalue", "empty_objective", "negative_sigma",
              "negative_rademacher_scale", "box_dim_zero", "simplex_dim_negative",
-             "a_b_row_mismatch", "eigenvalues_z_length_mismatch"],
+             "a_b_row_mismatch", "eigenvalues_z_length_mismatch", "nan_in_b", "inf_in_A",
+             "inf_scale", "inf_in_z"],
     )
     def test_bad_problem_exits_2_and_leaves_no_output_dir(
         self, tmp_path, capsys, polytope, objective, noise, field
