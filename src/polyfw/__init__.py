@@ -3,7 +3,15 @@ and away-step Frank-Wolfe with sampled gradients, analysis diagnostics, and
 a replicated experiment harness."""
 
 from .diagnostics import AnalysisConstants, compute_constants, lyapunov, verify_trace
-from .frank_wolfe import ActiveSet, IterationRecord, RunTrace, away_fw_step, run, standard_fw_step
+from .frank_wolfe import (
+    ActiveSet,
+    IterationRecord,
+    RunTrace,
+    away_fw_step,
+    run,
+    standard_fw_step,
+    standard_step_size,
+)
 from .geometry import (
     GeometryConstants,
     Polytope,
@@ -68,6 +76,7 @@ __all__ = [
     "run_experiment",
     "solve_lp",
     "standard_fw_step",
+    "standard_step_size",
     "unit_box",
     "unit_simplex",
     "verify_trace",

@@ -11,7 +11,7 @@ from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, compute_c
 from .errors import DegenerateDirection, InvariantViolation
 from .geometry import Polytope, lmo
 from .objectives import reference_solution
-from .sampling import NoiseModel, SamplePlan, estimate_gradient, plan_sample_size
+from .sampling import NoiseModel, SamplePlan, noise_mean_stream, plan_sample_size
 
 DROP_TOL = 1e-12
 
@@ -19,7 +19,7 @@ DROP_TOL = 1e-12
 class ActiveSet:
     """Convex-combination representation of the current iterate: one weight
     per vertex of P in the array w, positive on the active vertices, zero
-    elsewhere and summing to one; point is w @ V.
+    elsewhere and summing to one; point is w @ V, with V = P.vertices.
 
     Weights at or below DROP_TOL are zeroed and the remaining mass
     renormalized, so floating-point dust never accumulates.
@@ -27,7 +27,8 @@ class ActiveSet:
 
     def __init__(self, P: Polytope, weights: dict[int, float]):
         self.P = P
-        self.w = np.zeros(len(P.vertices))
+        self.V = P.vertices
+        self.w = np.zeros(len(self.V))
         self.w[list(weights)] = list(weights.values())
         self._settle()
 
@@ -57,7 +58,7 @@ class ActiveSet:
             raise InvariantViolation(f"active-set mass {total} lost; representation corrupt")
         if total != 1.0:
             w /= total
-        self.point = w @ self.P.vertices
+        self.point = w @ self.V
 
     def validate(self, tol_sum: float = 1e-10, tol_point: float = 1e-8) -> None:
         """Check the representation invariants; raises InvariantViolation."""
@@ -66,7 +67,7 @@ class ActiveSet:
             raise InvariantViolation(f"weights sum to {total}")
         if not np.all(self.w >= 0.0):
             raise InvariantViolation("negative weight")
-        if not np.linalg.norm(self.w @ self.P.vertices - self.point) <= tol_point:
+        if not np.linalg.norm(self.w @ self.V - self.point) <= tol_point:
             raise InvariantViolation("point drifted from w @ V")
 
 
@@ -76,14 +77,17 @@ def initial_active_set(P: Polytope) -> ActiveSet:
     return ActiveSet(P, {vid: 1.0})
 
 
+def standard_step_size(epsilon: float, L: float, D: float) -> float:
+    """The standard algorithm's fixed step size min(1, epsilon / (2 L D^2))."""
+    return min(1.0, epsilon / (2.0 * L * D * D))
+
+
 def standard_fw_step(
-    active: ActiveSet, g: np.ndarray, P: Polytope, epsilon: float, L: float, D: float
+    active: ActiveSet, g: np.ndarray, P: Polytope, gamma: float
 ) -> tuple[ActiveSet, dict]:
-    """One standard Frank-Wolfe step with the fixed rule
-    gamma = min(1, epsilon / (2 L D^2)) towards the LMO vertex, applied to
-    the given active set in place."""
+    """One standard Frank-Wolfe step of the given size (standard_step_size)
+    towards the LMO vertex, applied to the given active set in place."""
     _, s_id = lmo(P, g)
-    gamma = min(1.0, epsilon / (2.0 * L * D * D))
     active.apply_fw(s_id, gamma)
     info = {
         "step_type": "fw_max" if gamma >= 1.0 else "fw",
@@ -95,12 +99,13 @@ def standard_fw_step(
 
 
 def away_fw_step(
-    active: ActiveSet, g: np.ndarray, P: Polytope, L: float
+    active: ActiveSet, g: np.ndarray, P: Polytope, L: float, scores: np.ndarray | None = None
 ) -> tuple[ActiveSet, dict]:
     """One away-step Frank-Wolfe update, applied to the given active set in
     place.
 
-    Scores every vertex once by g^T u: the FW vertex s is the first minimizer
+    Scores every vertex once by g^T u (or takes scores = V @ g from a caller
+    that already has them): the FW vertex s is the first minimizer
     (as in lmo) and the away vertex v the first active maximizer, so ties
     break to the smallest id. Picks the better of the two directions (FW on
     ties), steps by min(gamma_max, -g.d / (L ||d||^2)) and applies the
@@ -111,9 +116,10 @@ def away_fw_step(
     """
     V = P.vertices
     x = active.point
-    scores = V @ g
-    s_id = int(np.argmin(scores))
-    v_id = int(np.argmax(np.where(active.w > 0.0, scores, -np.inf)))
+    if scores is None:
+        scores = V @ g
+    s_id = int(scores.argmin())
+    v_id = int(np.where(active.w > 0.0, scores, -np.inf).argmax())
     s, v, alpha_v = V[s_id], V[v_id], float(active.w[v_id])
     d_fw = s - x
     d_away = x - v
@@ -174,8 +180,13 @@ def run(
     """Run one algorithm ("standard" or "away") to the stopping time.
 
     Stops at the first k with f(x_k) - f* <= epsilon (recorded as T_eps) or
-    after max_iter steps (T_eps = None). Every stepping iteration draws the
+    after max_iter steps (T_eps = None). The objective is evaluated once per
+    iterate (value and gradient together). Every stepping iteration draws the
     planned number of gradient samples; mode "exact" uses the true gradient.
+    The noise means come from noise_mean_stream, which draws the O(d)-law
+    families in blocks: the estimates equal successive estimate_gradient
+    draws from rng, but a caller that reuses rng after run sees a stream
+    advanced past the run's last step.
     The good-event flag compares the realized gradient error against
     epsilon/(4D) for the standard algorithm and eps_g * g^T(v - s) for the
     away-step algorithm. D, L and eps_g come from consts, which must be
@@ -193,6 +204,10 @@ def run(
         raise ValueError(f"consts resolved at epsilon={consts.epsilon}, run at {epsilon}")
     D, L, eps_g = consts.D, consts.L, consts.eps_g
     n = plan_sample_size(plan)
+    f_star = ref.f_star
+    gamma = standard_step_size(epsilon, L, D)
+    threshold = epsilon / (4.0 * D)
+    means = noise_mean_stream(noise, n, rng) if n else None
 
     active = initial_active_set(P)
     records: list[IterationRecord] = []
@@ -209,7 +224,8 @@ def run(
                 raise InvariantViolation("iterate infeasible")
         if collect_active_ids:
             active_ids.append((tuple(np.flatnonzero(active.w).tolist()), x.copy()))
-        f_gap = obj.value(x) - ref.f_star
+        f, grad = obj.value_and_gradient(x)
+        f_gap = f - f_star
         n_k = len(active)
         lyap = lyapunov(algorithm, f_gap, n_k, consts)
 
@@ -225,17 +241,17 @@ def run(
                 T_eps = k
             break
 
-        grad = obj.gradient(x)
-        if n == 0:
+        if means is None:
             g, grad_error = grad, 0.0
         else:
-            g = estimate_gradient(grad, noise, n, rng)
-            grad_error = float(np.linalg.norm(g - grad))
+            g = grad + next(means)
+            e = g - grad
+            grad_error = math.sqrt(e.dot(e))  # np.linalg.norm(e), bit for bit
             total_samples += n
 
         if algorithm == "standard":
-            active, info = standard_fw_step(active, g, P, epsilon, L, D)
-            good = grad_error <= epsilon / (4.0 * D)
+            active, info = standard_fw_step(active, g, P, gamma)
+            good = grad_error <= threshold
         else:
             try:
                 active, info = away_fw_step(active, g, P, L)

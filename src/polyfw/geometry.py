@@ -237,7 +237,7 @@ def lmo(P: Polytope, g) -> tuple[np.ndarray, int]:
     V = P.vertices
     if len(V) == 0:
         raise EmptyVertexList("polytope has no enumerated vertices")
-    vid = int(np.argmin(V @ g))
+    vid = int((V @ g).argmin())
     return V[vid], vid
 
 

@@ -24,6 +24,7 @@ from .sampling import (
     NoiseModel,
     SamplePlan,
     chebyshev_tail_bound,
+    config_int,
     noise_from_json,
     plan_from_json,
     plan_sample_size,
@@ -65,27 +66,18 @@ class ExperimentConfig:
         grid = need("", "epsilon_grid", raw)
         if not grid or any(e <= 0 for e in grid):
             raise ConfigError("epsilon_grid", "must be nonempty and strictly positive")
-        reps = int(need("", "replications", raw))
-        if reps < 1:
-            raise ConfigError("replications", "must be >= 1")
-        max_iter = int(need("", "max_iter", raw))
-        if max_iter < 0:
-            raise ConfigError("max_iter", f"must be >= 0, got {max_iter}")
-        workers = int(raw.get("workers", 1))
-        if workers < 1:
-            raise ConfigError("workers", f"must be >= 1, got {workers}")
         return cls(
             problem=problem,
             algorithm=algorithm,
             noise=need("", "noise", raw),
             sampling=need("", "sampling", raw),
             epsilon_grid=[float(e) for e in grid],
-            replications=reps,
-            master_seed=int(need("", "master_seed", raw)),
-            max_iter=max_iter,
+            replications=config_int("replications", need("", "replications", raw), 1),
+            master_seed=config_int("master_seed", need("", "master_seed", raw), 0),
+            max_iter=config_int("max_iter", need("", "max_iter", raw), 0),
             output_dir=str(need("", "output_dir", raw)),
             eps_g=raw.get("eps_g"),
-            workers=workers,
+            workers=config_int("workers", raw.get("workers", 1), 1),
             save_traces=bool(raw.get("save_traces", False)),
         )
 

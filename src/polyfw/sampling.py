@@ -4,6 +4,7 @@ estimators, Chebyshev tail bounds, and per-iteration sample-size planning."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,10 @@ from .errors import ConfigError, MissingParam, NonpositiveDenominator, Nonpositi
 # Above this size the gaussian sample mean is drawn directly from its exact
 # distribution N(grad, sigma^2/n I) instead of averaging n draws.
 GAUSSIAN_SHORTCUT_N = 4096
+
+# noise_mean_stream draws O(d)-law means in blocks of 1, 2, 4, ... up to this
+# many, so a short run overdraws little and a long one pays per block.
+MEAN_BLOCK_MAX = 256
 
 # Noise that is averaged draw by draw is drawn and summed at most this many
 # values at a time, so one sample mean takes bounded memory at any n.
@@ -118,6 +123,25 @@ def sample_noise_means(
                 total += noise.draw(rng, min(rows, n - start)).sum(axis=0)
             means[i] = total / n
     return means.reshape(shape)
+
+
+def noise_mean_stream(noise: NoiseModel, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Endless stream of the values successive sample_noise_means(noise, n,
+    (), rng) calls would return, in the same order, bit for bit.
+
+    Means with an O(d) law (rademacher, and gaussian above
+    GAUSSIAN_SHORTCUT_N) are drawn in blocks that double up to
+    MEAN_BLOCK_MAX, which takes rng past the last mean consumed. Means that
+    average n * d draws come one at a time: a block would hold n * d values
+    per mean.
+    """
+    if noise.kind == "rademacher" or (noise.kind == "gaussian" and n > GAUSSIAN_SHORTCUT_N):
+        size = 1
+        while True:
+            yield from sample_noise_means(noise, n, (size,), rng)
+            size = min(2 * size, MEAN_BLOCK_MAX)
+    while True:
+        yield sample_noise_means(noise, n, (), rng)
 
 
 def estimate_gradient(grad, noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,6 +274,18 @@ def calibrate_subgaussian_c(
     return best
 
 
+def config_int(path: str, value, minimum: int) -> int:
+    """A config integer of at least minimum. A fractional number such as 1.5
+    is a ConfigError naming path, not truncated; 3.0 reads as 3."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _nonnegative(spec: dict, key: str) -> float:
     value = float(spec[key])
     if not value >= 0.0:
@@ -277,7 +313,5 @@ def plan_from_json(spec: dict) -> SamplePlan:
     if mode not in PLAN_MODES:
         raise ConfigError("sampling.mode", f"must be one of {'|'.join(PLAN_MODES)}, got {mode!r}")
     if mode == "fixed":
-        if int(spec["n"]) < 1:
-            raise ConfigError("sampling.n", f"fixed mode needs n >= 1, got {spec['n']!r}")
-        return SamplePlan.fixed(spec["n"])
+        return SamplePlan.fixed(config_int("sampling.n", spec["n"], 1))
     return SamplePlan(mode=mode, params=dict(spec.get("params", {})))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -19,10 +20,11 @@ from polyfw.frank_wolfe import (
     initial_active_set,
     run,
     standard_fw_step,
+    standard_step_size,
 )
 from polyfw.geometry import Polytope, geometry_constants, lmo, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective, reference_solution
-from polyfw.sampling import NoiseModel, SamplePlan
+from polyfw.sampling import GAUSSIAN_SHORTCUT_N, NoiseModel, SamplePlan, sample_noise_means
 
 
 # unit_box(2) vertices in lexicographic order:
@@ -243,7 +245,7 @@ class TestStandardStep:
     def test_gamma_formula(self):
         a = ActiveSet(BOX, {3: 1.0})  # x = (1, 1)
         g = np.array([1.0, 1.0])
-        a2, info = standard_fw_step(a, g, BOX, epsilon=0.1, L=1.0, D=np.sqrt(2))
+        a2, info = standard_fw_step(a, g, BOX, standard_step_size(0.1, L=1.0, D=np.sqrt(2)))
         assert a2 is a
         assert info["gamma"] == pytest.approx(0.025)
         assert info["step_type"] == "fw"
@@ -252,7 +254,7 @@ class TestStandardStep:
     def test_gamma_capped_at_one(self):
         a = ActiveSet(BOX, {3: 1.0})
         g = np.array([1.0, 1.0])
-        a2, info = standard_fw_step(a, g, BOX, epsilon=10.0, L=1.0, D=1.0)
+        a2, info = standard_fw_step(a, g, BOX, standard_step_size(10.0, L=1.0, D=1.0))
         assert info["gamma"] == 1.0 and info["step_type"] == "fw_max"
         assert np.array_equal(a2.w, dense({0: 1.0}))
         np.testing.assert_allclose(a2.point, [0.0, 0.0])
@@ -363,10 +365,13 @@ class TestRun:
             alpha /= alpha.sum()
 
     def test_degenerate_away_step_is_recorded_idle(self, monkeypatch):
-        # A gradient estimate of (1, 1, 1) at the initial vertex, the origin
-        # of the simplex, re-selects the origin, so every step is idle.
+        # Noise means of (100, 100, 100) make every gradient estimate at the
+        # initial vertex, the origin of the simplex, positive, so the FW
+        # vertex is the origin again and every step is idle.
         obj, P = self.problem()
-        monkeypatch.setattr(frank_wolfe, "estimate_gradient", lambda *a: np.ones(3))
+        monkeypatch.setattr(
+            frank_wolfe, "noise_mean_stream", lambda *a: itertools.repeat(np.full(3, 100.0))
+        )
         trace = run("away", obj, P, NoiseModel.gaussian(0.1, 3), SamplePlan.fixed(1),
                     0.01, 3, None)
         steps = trace.records[:-1]
@@ -374,6 +379,62 @@ class TestRun:
         assert all(r.gamma == 0.0 and not r.good_event for r in steps)
         assert len({r.f_gap for r in trace.records}) == 1
         assert trace.T_eps is None
+
+    @pytest.mark.parametrize(
+        "algorithm, noise, n, epsilon, max_iter, idle",
+        [
+            ("standard", NoiseModel.gaussian(0.1, 3), 40, 0.1, 5000, False),
+            ("away", NoiseModel.rademacher(0.3, 3), 5000, 0.01, 5000, False),
+            ("standard", NoiseModel.gaussian(0.1, 3), 40, 1e-8, 7, False),
+            ("away", NoiseModel.gaussian(0.1, 3), 1, 0.01, 3, True),
+        ],
+        ids=["standard", "away", "standard_max_iter", "away_idle"],
+    )
+    def test_one_step_call_per_stepping_iteration(
+        self, algorithm, noise, n, epsilon, max_iter, idle, rng, monkeypatch
+    ):
+        # The benchmark counts standard_fw_step / away_fw_step calls inside
+        # run against sum T_eps: exactly one call per stepping iteration,
+        # an idle away step (DegenerateDirection) included.
+        calls = []
+        for name in ("standard_fw_step", "away_fw_step"):
+            step = getattr(frank_wolfe, name)
+            monkeypatch.setattr(
+                frank_wolfe, name, lambda *a, _step=step, **k: calls.append(1) or _step(*a, **k)
+            )
+        if idle:
+            monkeypatch.setattr(
+                frank_wolfe, "noise_mean_stream", lambda *a: itertools.repeat(np.full(3, 100.0))
+            )
+        obj, P = self.problem()
+        trace = run(algorithm, obj, P, noise, SamplePlan.fixed(n), epsilon, max_iter, rng)
+        steps = [r.step_type for r in trace.records if r.step_type is not None]
+        assert steps and ("idle" in steps) == idle
+        assert len(calls) == len(steps) == (max_iter if trace.T_eps is None else trace.T_eps)
+
+    @pytest.mark.parametrize(
+        "algorithm, noise, n",
+        [
+            ("standard", NoiseModel.gaussian(0.2, 3), GAUSSIAN_SHORTCUT_N + 1),
+            ("away", NoiseModel.rademacher(0.3, 3), 5000),
+        ],
+    )
+    def test_blocked_noise_gives_the_trace_of_one_draw_per_step(
+        self, algorithm, noise, n, monkeypatch
+    ):
+        obj, P = self.problem()
+        blocked = run(algorithm, obj, P, noise, SamplePlan.fixed(n), 0.01, 2000,
+                      np.random.default_rng(8))
+
+        def one_mean_per_call(noise, n, rng):
+            while True:
+                yield sample_noise_means(noise, n, (), rng)
+
+        monkeypatch.setattr(frank_wolfe, "noise_mean_stream", one_mean_per_call)
+        single = run(algorithm, obj, P, noise, SamplePlan.fixed(n), 0.01, 2000,
+                     np.random.default_rng(8))
+        assert len(blocked.records) > 2
+        assert blocked == single
 
     def test_max_iter_exhaustion(self):
         obj, P = self.problem()
@@ -418,15 +479,19 @@ class TestRun:
 
     @pytest.mark.parametrize("algorithm", ["standard", "away"])
     def test_one_gradient_evaluation_per_step(self, algorithm, rng):
+        # One fused value-and-gradient evaluation per iterate: one for each
+        # stepping iteration plus one for the stopping iterate; value and
+        # gradient are never called on their own.
         obj, P = self.problem()
         ref, consts = reference_solution(obj, P), compute_constants(obj, P, 0.1)
         calls = []
-        exact = obj.gradient
-        obj.gradient = lambda x: calls.append(x) or exact(x)
+        fused = obj.value_and_gradient
+        obj.value_and_gradient = lambda x: calls.append(x) or fused(x)
+        obj.value = obj.gradient = lambda x: pytest.fail("separate objective evaluation")
         trace = run(
             algorithm, obj, P, NoiseModel.gaussian(0.1, 3), SamplePlan.fixed(40), 0.1, 5000,
             rng, ref=ref, consts=consts,
         )
         steps = sum(r.step_type is not None for r in trace.records)
         assert steps > 0
-        assert len(calls) == steps
+        assert len(calls) == steps + 1 == len(trace.records)

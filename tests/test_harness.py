@@ -347,6 +347,27 @@ class TestCLI:
         assert f"config error: {next(iter(override))}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"master_seed": 1.5}, "master_seed: must be an integer, got 1.5"),
+            ({"master_seed": -1}, "master_seed: must be >= 0, got -1"),
+            ({"sampling": {"mode": "fixed", "n": 2.5}}, "sampling.n: must be an integer, got 2.5"),
+            ({"max_iter": 1.5}, "max_iter: must be an integer, got 1.5"),
+        ],
+        ids=["fractional_seed", "negative_seed", "fractional_n", "fractional_max_iter"],
+    )
+    def test_seed_stream_fields_exit_2_and_leave_no_output_dir(
+        self, tmp_path, capsys, override, field
+    ):
+        # These fields feed the random streams: a fractional value must not
+        # be truncated into another run, nor a negative seed reach SeedSequence.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(base_config(tmp_path / "out", **override)))
+        assert cli_main(["run", str(path)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "polytope, objective, noise, field",
         [
             ({"preset": "cube", "dim": 3}, None, None, "polytope.preset"),

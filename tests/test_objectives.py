@@ -51,10 +51,24 @@ def test_gradient_matches_central_differences(rng):
         assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
 
+@pytest.mark.parametrize("d", [3, 8])
+def test_value_and_gradient_equal_separate_calls_bit_for_bit(rng, d):
+    obj = QuadraticObjective(
+        np.linspace(0.5, 4.0, d), z=rng.standard_normal(d), rotation_seed=40 + d
+    )
+    for _ in range(200):
+        x = rng.standard_normal(d) * rng.choice([1e-3, 1.0, 1e3])
+        f, g = obj.value_and_gradient(x)
+        assert type(f) is float and f == obj.value(x)
+        assert g.tobytes() == obj.gradient(x).tobytes()
+
+
 def test_dimension_mismatch():
     obj = QuadraticObjective([1.0, 2.0], z=[0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         obj.value(np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        obj.value_and_gradient(np.zeros(3))
     with pytest.raises(DimensionMismatch):
         QuadraticObjective([1.0, 2.0], z=[0.0, 0.0, 0.0])
 

@@ -10,11 +10,13 @@ from polyfw.errors import MissingParam, NonpositiveDenominator, NonpositiveS
 from polyfw.objectives import QuadraticObjective
 from polyfw.sampling import (
     GAUSSIAN_SHORTCUT_N,
+    MEAN_BLOCK_MAX,
     NoiseModel,
     SamplePlan,
     calibrate_subgaussian_c,
     chebyshev_tail_bound,
     estimate_gradient,
+    noise_mean_stream,
     plan_sample_size,
     sample_noise_means,
     subgaussian_c1,
@@ -181,6 +183,64 @@ class TestNoiseMeans:
         monkeypatch.setattr(sampling, "DRAW_CHUNK", 24)  # two trials per chunk
         split = sample_noise_means(noise, 4, (7,), np.random.default_rng(9))
         np.testing.assert_array_equal(split, whole)
+
+
+STREAM_CASES = [
+    (NoiseModel.gaussian(0.7, 3), GAUSSIAN_SHORTCUT_N + 1, True),
+    (NoiseModel.gaussian(0.7, 8), 10**6, True),
+    (NoiseModel.gaussian(0.7, 3), GAUSSIAN_SHORTCUT_N, False),
+    (NoiseModel.gaussian(0.7, 3), 1, False),
+    (NoiseModel.rademacher(1.3, 3), 1, True),
+    (NoiseModel.rademacher(1.3, 8), 27_000, True),
+    (NoiseModel.rademacher(1.3, 3), 10**9, True),
+    (NoiseModel.student_t(5, 0.5, 3), 7, False),
+]
+STREAM_IDS = ["gaussian_shortcut", "gaussian_shortcut_d8", "gaussian_averaged_at_cutoff",
+              "gaussian_n1", "rademacher_n1", "rademacher_d8", "rademacher_huge_n", "student_t"]
+
+
+class TestNoiseMeanStream:
+    @pytest.mark.parametrize("noise, n, blocked", STREAM_CASES, ids=STREAM_IDS)
+    def test_equals_successive_single_means_bit_for_bit(self, noise, n, blocked):
+        # 600 means cross every block boundary: 1, 3, 7, ..., 511 after the
+        # blocks of 1, 2, 4, ..., 256, then blocks of MEAN_BLOCK_MAX.
+        count = 600 if blocked else 40
+        stream = noise_mean_stream(noise, n, np.random.default_rng(31))
+        streamed = np.array([next(stream) for _ in range(count)])
+        rng = np.random.default_rng(31)
+        single = np.array([sample_noise_means(noise, n, (), rng) for _ in range(count)])
+        assert streamed.shape == single.shape == (count, noise.dim)
+        assert streamed.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("noise, n, blocked", STREAM_CASES, ids=STREAM_IDS)
+    def test_blocks_double_only_on_the_o_d_paths(self, noise, n, blocked, monkeypatch):
+        sizes = []
+        original = sampling.sample_noise_means
+
+        def recording(noise, n, size, rng):
+            sizes.append(size)
+            return original(noise, n, size, rng)
+
+        monkeypatch.setattr(sampling, "sample_noise_means", recording)
+        stream = noise_mean_stream(noise, n, np.random.default_rng(32))
+        for _ in range(600 if blocked else 40):
+            next(stream)
+        if blocked:
+            assert sizes == [(1,), (2,), (4,), (8,), (16,), (32,), (64,), (128,),
+                             (MEAN_BLOCK_MAX,), (MEAN_BLOCK_MAX,)]
+        else:
+            # A block of averaged means would hold n * d values per mean.
+            assert sizes == [()] * 40
+
+    def test_stream_leaves_rng_past_the_last_mean_taken(self):
+        # Five means take blocks of 1, 2 and 4: the rng has drawn seven.
+        noise = NoiseModel.rademacher(1.0, 3)
+        rng, ahead = np.random.default_rng(33), np.random.default_rng(33)
+        stream = noise_mean_stream(noise, 100, rng)
+        for _ in range(5):
+            next(stream)
+        sample_noise_means(noise, 100, (7,), ahead)
+        assert rng.random() == ahead.random()
 
 
 class TestChebyshev:
