@@ -12,17 +12,19 @@ import sys
 
 import numpy as np
 
+from .config import config_choice, config_float, config_int, need
 from .diagnostics import compute_constants, verify_trace
 from .errors import ConfigError, PolyFWError
 from .geometry import lmo, polytope_from_json
 from .harness import (
+    ALGORITHMS,
     ExperimentConfig,
     concentration_experiment,
     run_experiment,
     trace_from_json,
 )
 from .objectives import objective_from_json
-from .sampling import noise_from_json
+from .sampling import STUDENT_T_MAX_DRAWS, noise_from_json
 from .simplex_lp import lmo_simplex_method
 
 
@@ -42,10 +44,14 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     data = _load_json(args.trace)
     trace = trace_from_json(data)
-    P = polytope_from_json(data["problem"]["polytope"])
-    obj = objective_from_json(data["problem"]["objective"])
-    consts = compute_constants(obj, P, data["epsilon"], data.get("eps_g"))
-    report = verify_trace(trace, consts, data["algorithm"])
+    problem = need(data, "trace", "problem")
+    P = polytope_from_json(need(problem, "trace.problem", "polytope"))
+    obj = objective_from_json(need(problem, "trace.problem", "objective"))
+    epsilon = config_float("trace.epsilon", need(data, "trace", "epsilon"), 0, above=True)
+    eps_g = data.get("eps_g")
+    eps_g = None if eps_g is None else config_float("trace.eps_g", eps_g)
+    algorithm = config_choice("trace.algorithm", need(data, "trace", "algorithm"), ALGORITHMS)
+    report = verify_trace(trace, compute_constants(obj, P, epsilon, eps_g), algorithm)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0 if report.passed else 3
 
@@ -65,20 +71,23 @@ def cmd_lmo_check(args) -> int:
 
 def cmd_concentration(args) -> int:
     spec = _load_json(args.config)
-    noise = noise_from_json(spec["noise"], polytope_from_json(spec["problem"]["polytope"]).dim)
-    rng = np.random.default_rng(spec.get("seed", 0))
-    cells, fits = concentration_experiment(
-        noise, spec["n_grid"], spec["s_grid"], spec.get("trials", 10**4), rng
-    )
-    out = {"cells": cells, "fits": fits}
-    print(json.dumps(out, indent=2, sort_keys=True))
-    violations = sum(c["violation"] for c in cells)
-    return 0 if violations == 0 else 3
+    P = polytope_from_json(need(need(spec, "", "problem"), "problem", "polytope"))
+    noise = noise_from_json(need(spec, "", "noise"), P.dim)
+    rng = np.random.default_rng(config_int("seed", spec.get("seed", 0), 0))
+    trials = config_int("trials", spec.get("trials", 10**4), 1000)
+    n_grid = config_float("n_grid", need(spec, "", "n_grid"), 1, ndim=1).tolist()
+    n_grid = [config_int("n_grid", n, 1) for n in n_grid]
+    s_grid = config_float("s_grid", need(spec, "", "s_grid"), 0, above=True, ndim=1).tolist()
+    if noise.kind == "student_t" and trials * max(n_grid) * P.dim > STUDENT_T_MAX_DRAWS:
+        raise ConfigError("n_grid", f"a student_t cell at n = {max(n_grid)} draws over "
+                          f"{STUDENT_T_MAX_DRAWS} values")
+    cells, fits = concentration_experiment(noise, n_grid, s_grid, trials, rng)
+    print(json.dumps({"cells": cells, "fits": fits}, indent=2, sort_keys=True))
+    return 3 if any(c["violation"] for c in cells) else 0
 
 
 def cmd_report(args) -> int:
-    with open(f"{args.dir}/summary.json") as fh:
-        summary = json.load(fh)
+    summary = _load_json(f"{args.dir}/summary.json")
     print(f"{'epsilon':>10} {'mean_T':>12} {'q90':>10} {'good_rate':>10} {'bound':>14}")
     for p in summary["per_epsilon"]:
         print(
@@ -117,13 +126,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
+    if args.command == "lmo-check" and (args.trials < 1 or args.seed < 0):
+        parser.error(f"--trials must be >= 1 and --seed >= 0, got {args.trials} and {args.seed}")
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"config error: {exc!r}", file=sys.stderr)
         return 2
     except PolyFWError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,7 +85,7 @@ def compute_constants(
     if eps_g is None:
         eps_g = 1.0 / (8.0 * D)
     if not 0.0 < eps_g < 1.0 / (4.0 * D):
-        raise EpsGOutOfRange(f"eps_g={eps_g} outside (0, {1.0 / (4.0 * D)})")
+        raise EpsGOutOfRange("eps_g", f"{eps_g} outside (0, 1/(4D)) = (0, {1.0 / (4.0 * D)})")
     L, mu = obj.L, obj.mu
     M = max(max_abs_value(obj, P), 1.0)
 

@@ -65,10 +65,6 @@ class NonpositiveS(PolyFWError):
     """A tail bound was requested at a nonpositive threshold."""
 
 
-class EpsGOutOfRange(PolyFWError):
-    """eps_g falls outside the open interval (0, 1/(4D))."""
-
-
 class MalformedTrace(PolyFWError):
     """A run trace or one of its records lacks fields or has unknown ones."""
 
@@ -83,3 +79,7 @@ class ConfigError(PolyFWError):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+class EpsGOutOfRange(ConfigError):
+    """eps_g falls outside the open interval (0, 1/(4D))."""

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex_lp
+from .config import config_choice, config_float, config_int, config_type, need
 from .errors import (
     ConfigError,
     DegeneratePolytope,
@@ -334,23 +335,14 @@ _PRESETS = {
 
 def polytope_from_json(spec: dict) -> Polytope:
     """Build a polytope from {"A": ..., "b": ...} or
-    {"preset": "simplex"|"box", "dim": d, "scale": s}."""
-    if "preset" in spec:
-        name = spec["preset"]
-        if name not in _PRESETS:
-            raise ConfigError("polytope.preset", f"must be one of {sorted(_PRESETS)}, got {name!r}")
-        dim = int(spec["dim"])
-        if dim < 1:
-            raise ConfigError("polytope.dim", f"must be >= 1, got {dim}")
-        scale = float(spec.get("scale", 1.0))
-        if not math.isfinite(scale):
-            raise ConfigError("polytope.scale", f"must be finite, got {scale}")
+    {"preset": "simplex"|"box"|"probability_simplex", "dim": d, "scale": s}."""
+    if "preset" in config_type("polytope", spec, dict):
+        name = config_choice("polytope.preset", spec["preset"], _PRESETS)
+        dim = config_int("polytope.dim", need(spec, "polytope", "dim"), 1)
+        scale = config_float("polytope.scale", spec.get("scale", 1.0), 0, above=True)
         return _PRESETS[name](dim, scale)
-    try:
-        P = Polytope(spec["A"], spec["b"])
-    except DimensionMismatch as err:
-        raise ConfigError("polytope", str(err)) from err
-    for field, values in (("A", P.A), ("b", P.b)):
-        if not np.isfinite(values).all():
-            raise ConfigError(f"polytope.{field}", "must be finite")
-    return P
+    A = config_float("polytope.A", need(spec, "polytope", "A"), ndim=2)
+    b = config_float("polytope.b", need(spec, "polytope", "b"), ndim=1)
+    if len(A) != len(b):
+        raise ConfigError("polytope.b", f"A has {len(A)} rows but b has {len(b)} entries")
+    return Polytope(A, b)

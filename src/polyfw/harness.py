@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import config_choice, config_float, config_int, config_type, need
 from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, compute_constants
 from .errors import ConfigError, DegenerateFit, MalformedTrace
 from .frank_wolfe import initial_active_set, run
@@ -24,7 +25,6 @@ from .sampling import (
     NoiseModel,
     SamplePlan,
     chebyshev_tail_bound,
-    config_int,
     noise_from_json,
     plan_from_json,
     plan_sample_size,
@@ -32,6 +32,7 @@ from .sampling import (
     subgaussian_c1,
 )
 
+ALGORITHMS = ("standard", "away")
 CSV_HEADER = "epsilon,replication,T_eps,total_samples,good_event_rate,final_gap,wall_ms"
 
 
@@ -52,33 +53,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        def need(path, key, parent):
-            if key not in parent:
-                raise ConfigError(f"{path}.{key}" if path else key, "missing")
-            return parent[key]
-
-        problem = need("", "problem", raw)
-        need("problem", "polytope", problem)
-        need("problem", "objective", problem)
-        algorithm = need("", "algorithm", raw)
-        if algorithm not in ("standard", "away"):
-            raise ConfigError("algorithm", f"must be standard|away, got {algorithm!r}")
-        grid = need("", "epsilon_grid", raw)
-        if not grid or any(e <= 0 for e in grid):
-            raise ConfigError("epsilon_grid", "must be nonempty and strictly positive")
+        problem = need(raw, "", "problem")
+        need(problem, "problem", "polytope")
+        need(problem, "problem", "objective")
+        grid = config_float("epsilon_grid", need(raw, "", "epsilon_grid"), 0, above=True, ndim=1)
+        eps_g = raw.get("eps_g")
         return cls(
             problem=problem,
-            algorithm=algorithm,
-            noise=need("", "noise", raw),
-            sampling=need("", "sampling", raw),
-            epsilon_grid=[float(e) for e in grid],
-            replications=config_int("replications", need("", "replications", raw), 1),
-            master_seed=config_int("master_seed", need("", "master_seed", raw), 0),
-            max_iter=config_int("max_iter", need("", "max_iter", raw), 0),
-            output_dir=str(need("", "output_dir", raw)),
-            eps_g=raw.get("eps_g"),
+            algorithm=config_choice("algorithm", need(raw, "", "algorithm"), ALGORITHMS),
+            noise=need(raw, "", "noise"),
+            sampling=need(raw, "", "sampling"),
+            epsilon_grid=grid.tolist(),
+            replications=config_int("replications", need(raw, "", "replications"), 1),
+            master_seed=config_int("master_seed", need(raw, "", "master_seed"), 0),
+            max_iter=config_int("max_iter", need(raw, "", "max_iter"), 0),
+            output_dir=config_type("output_dir", need(raw, "", "output_dir"), str),
+            eps_g=None if eps_g is None else config_float("eps_g", eps_g),
             workers=config_int("workers", raw.get("workers", 1), 1),
-            save_traces=bool(raw.get("save_traces", False)),
+            save_traces=config_type("save_traces", raw.get("save_traces", False), bool),
         )
 
     def to_dict(self) -> dict:
@@ -126,10 +118,8 @@ class _Problem:
         self.noise = noise_from_json(cfg.noise, self.P.dim)
         self.obj = objective_from_json(cfg.problem["objective"])
         if self.obj.dim != self.P.dim:
-            raise ConfigError(
-                "problem.objective",
-                f"has dimension {self.obj.dim}, but the polytope has dimension {self.P.dim}",
-            )
+            raise ConfigError("problem.objective", f"has dimension {self.obj.dim}, but the "
+                              f"polytope has dimension {self.P.dim}")
         self.ref = reference_solution(self.obj, self.P)
         x0 = initial_active_set(self.P).point
         self.gap0 = self.obj.value(x0) - self.ref.f_star
@@ -172,11 +162,9 @@ def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstant
         plan = SamplePlan(mode=plan.mode, params=auto)
     n = plan_sample_size(plan)
     if prob.noise.kind == "student_t" and n * prob.P.dim > STUDENT_T_MAX_DRAWS:
-        raise ConfigError(
-            "sampling",
-            f"student_t noise needs n = {n} draws per estimate at epsilon = {consts.epsilon}, "
-            f"{n * prob.P.dim} values, above the budget of {STUDENT_T_MAX_DRAWS}",
-        )
+        raise ConfigError("sampling", f"student_t noise needs n = {n} draws per estimate at "
+                          f"epsilon = {consts.epsilon}, {n * prob.P.dim} values, above the budget "
+                          f"of {STUDENT_T_MAX_DRAWS}")
     return plan
 
 
@@ -376,7 +364,7 @@ def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dic
 def trace_from_json(data: dict) -> RunTrace:
     """Rebuild a trace from trace_to_json; a bad record raises MalformedTrace."""
     records = []
-    for i, rec in enumerate(data["records"]):
+    for i, rec in enumerate(need(data, "trace", "records")):
         try:
             records.append(IterationRecord(**rec))
         except TypeError as exc:  # names the missing or unknown key

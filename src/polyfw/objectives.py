@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import config_float, config_int, need
 from .errors import ConfigError, DimensionMismatch, NoConvergence
 from .geometry import Polytope
 
@@ -120,14 +121,11 @@ def max_abs_value(obj: QuadraticObjective, P: Polytope) -> float:
 
 def objective_from_json(spec: dict) -> QuadraticObjective:
     """Build from {"eigenvalues": [...], "rotation_seed": int|null, "z": [...]}."""
-    try:
-        obj = QuadraticObjective(
-            eigenvalues=spec["eigenvalues"],
-            z=spec["z"],
-            rotation_seed=spec.get("rotation_seed"),
-        )
-    except (DimensionMismatch, ValueError) as err:
-        raise ConfigError("objective", str(err)) from err
-    if not np.isfinite(obj.z).all():
-        raise ConfigError("objective.z", "must be finite")
-    return obj
+    lam = need(spec, "objective", "eigenvalues")
+    lam = config_float("objective.eigenvalues", lam, 0, above=True, ndim=1)
+    z = config_float("objective.z", need(spec, "objective", "z"), ndim=1)
+    if z.shape != lam.shape:
+        raise ConfigError("objective.z", f"{lam.size} eigenvalues but z has dimension {z.size}")
+    seed = spec.get("rotation_seed")
+    seed = None if seed is None else config_int("objective.rotation_seed", seed, 0)
+    return QuadraticObjective(eigenvalues=lam, z=z, rotation_seed=seed)

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MissingParam, NonpositiveDenominator, NonpositiveS
+from .config import config_choice, config_float, config_int, config_type, need
+from .errors import MissingParam, NonpositiveDenominator, NonpositiveS
 
 # Above this size the gaussian sample mean is drawn directly from its exact
 # distribution N(grad, sigma^2/n I) instead of averaging n draws.
@@ -26,6 +27,8 @@ DRAW_CHUNK = 2**22
 # Student-t means have no closed-form law and cost n * dim draws each; a plan
 # that asks for more values than this per estimate is a config error.
 STUDENT_T_MAX_DRAWS = 10**8
+
+NOISE_KINDS = ("gaussian", "student_t", "rademacher")
 
 PLAN_MODES = (
     "exact", "fixed", "bounded_variance_standard", "bounded_variance_away",
@@ -274,44 +277,27 @@ def calibrate_subgaussian_c(
     return best
 
 
-def config_int(path: str, value, minimum: int) -> int:
-    """A config integer of at least minimum. A fractional number such as 1.5
-    is a ConfigError naming path, not truncated; 3.0 reads as 3."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ConfigError(path, f"must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _nonnegative(spec: dict, key: str) -> float:
-    value = float(spec[key])
-    if not value >= 0.0:
-        raise ConfigError(f"noise.{key}", f"must be >= 0, got {spec[key]!r}")
-    return value
-
-
 def noise_from_json(spec: dict, dim: int) -> NoiseModel:
     """Build from {"kind": ..., "sigma"|"scale": ..., "dof": ...}."""
-    kind = spec["kind"]
+    kind = config_choice("noise.kind", need(spec, "noise", "kind"), NOISE_KINDS)
+    key = "sigma" if kind == "gaussian" else "scale"
+    scale = config_float(f"noise.{key}", need(spec, "noise", key), 0)
     if kind == "gaussian":
-        return NoiseModel.gaussian(_nonnegative(spec, "sigma"), dim)
+        return NoiseModel.gaussian(scale, dim)
     if kind == "student_t":
-        if spec["dof"] < 3:
-            raise ConfigError("noise.dof", f"student_t noise requires dof >= 3, got {spec['dof']!r}")
-        return NoiseModel.student_t(spec["dof"], _nonnegative(spec, "scale"), dim)
-    if kind == "rademacher":
-        return NoiseModel.rademacher(_nonnegative(spec, "scale"), dim)
-    raise ConfigError("noise.kind", f"must be gaussian|student_t|rademacher, got {kind!r}")
+        dof = config_int("noise.dof", need(spec, "noise", "dof"), 3)
+        return NoiseModel.student_t(dof, scale, dim)
+    return NoiseModel.rademacher(scale, dim)
 
 
 def plan_from_json(spec: dict) -> SamplePlan:
-    """Build from {"mode": ..., "n": ..., "params": {...}}."""
-    mode = spec["mode"]
-    if mode not in PLAN_MODES:
-        raise ConfigError("sampling.mode", f"must be one of {'|'.join(PLAN_MODES)}, got {mode!r}")
+    """Build from {"mode": ..., "n": ..., "params": {...}}; every param is a
+    positive number, and the sub-Gaussian modes need the constant c."""
+    mode = config_choice("sampling.mode", need(spec, "sampling", "mode"), PLAN_MODES)
     if mode == "fixed":
-        return SamplePlan.fixed(config_int("sampling.n", spec["n"], 1))
-    return SamplePlan(mode=mode, params=dict(spec.get("params", {})))
+        return SamplePlan.fixed(config_int("sampling.n", need(spec, "sampling", "n"), 1))
+    params = config_type("sampling.params", spec.get("params", {}), dict)
+    if mode.startswith("subgaussian"):
+        need(params, "sampling.params", "c")
+    params = {k: config_float(f"sampling.params.{k}", v, 0, above=True) for k, v in params.items()}
+    return SamplePlan(mode=mode, params=params)

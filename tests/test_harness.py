@@ -1,8 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyfw.cli import main as cli_main
 from polyfw import harness
@@ -22,6 +25,20 @@ from polyfw.objectives import QuadraticObjective
 from polyfw.sampling import NoiseModel
 
 BOX3_A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
+
+def concentration_spec():
+    return {
+        "problem": {
+            "polytope": {"preset": "box", "dim": 2},
+            "objective": {"eigenvalues": [1.0, 2.0], "z": [0.0, 0.0]},
+        },
+        "noise": {"kind": "gaussian", "sigma": 1.0},
+        "n_grid": [10, 50],
+        "s_grid": [0.5],
+        "trials": 1500,
+        "seed": 3,
+    }
 
 
 def base_config(output_dir, **overrides):
@@ -314,20 +331,88 @@ class TestCLI:
         assert "config error: polytope: unbounded" in capsys.readouterr().err
 
     def test_concentration_command(self, tmp_path):
-        spec = {
-            "problem": {
-                "polytope": {"preset": "box", "dim": 2},
-                "objective": {"eigenvalues": [1.0, 2.0], "z": [0.0, 0.0]},
-            },
-            "noise": {"kind": "gaussian", "sigma": 1.0},
-            "n_grid": [10, 50],
-            "s_grid": [0.5],
-            "trials": 1500,
-            "seed": 3,
-        }
+        path = tmp_path / "conc.json"
+        path.write_text(json.dumps(concentration_spec()))
+        assert cli_main(["concentration", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
+            ({"seed": -1}, "seed: must be >= 0, got -1"),
+            ({"trials": 500}, "trials: must be >= 1000, got 500"),
+            ({"trials": 1500.5}, "trials: must be an integer, got 1500.5"),
+            ({"n_grid": [0, 4]}, "n_grid: must be >= 1"),
+            ({"n_grid": [2.5]}, "n_grid: must be an integer, got 2.5"),
+            ({"n_grid": "10"}, "n_grid: must be a nonempty 1-d array of numbers"),
+            ({"n_grid": None}, "n_grid: missing"),
+            ({"s_grid": [math.nan]}, "s_grid: must be finite"),
+            ({"s_grid": [0.0]}, "s_grid: must be > 0"),
+            ({"noise": "gaussian"}, "noise: must be an object"),
+            ({"problem": None}, "problem: missing"),
+            ({"noise": {"kind": "student_t", "dof": 5, "scale": 1.0}, "n_grid": [1e12]},
+             "n_grid: a student_t cell at n = 1000000000000 draws over 100000000 values"),
+            # 1500 trials x 40,000 draws x d = 2 is 1.2e8 values: just over the budget.
+            ({"noise": {"kind": "student_t", "dof": 5, "scale": 1.0}, "n_grid": [10, 40000]},
+             "n_grid: a student_t cell at n = 40000 draws over"),
+        ],
+        ids=["fractional_seed", "negative_seed", "few_trials", "fractional_trials", "zero_n",
+             "fractional_n", "string_n_grid", "missing_n_grid", "nan_s", "zero_s",
+             "string_noise", "missing_problem", "student_t_huge_n", "student_t_over_budget"],
+    )
+    def test_concentration_bad_spec_exits_2(self, tmp_path, capsys, override, field):
+        spec = concentration_spec()
+        spec.update(override)
+        spec = {k: v for k, v in spec.items() if v is not None}  # None deletes the key
         path = tmp_path / "conc.json"
         path.write_text(json.dumps(spec))
-        assert cli_main(["concentration", str(path)]) == 0
+        assert cli_main(["concentration", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {field}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            ({"algorithm": "sgd"}, "trace.algorithm: must be one of standard|away, got 'sgd'"),
+            ({"epsilon": "x"}, "trace.epsilon: must be a number, got 'x'"),
+            ({"epsilon": None}, "trace.epsilon: missing"),
+            ({"records": None}, "trace.records: missing"),
+            ({"problem": None}, "trace.problem: missing"),
+            ({"eps_g": 5}, "eps_g: 5.0 outside (0, 1/(4D))"),
+            ([1, 2], "trace: must be an object, got [1, 2]"),
+        ],
+        ids=["unknown_algorithm", "string_epsilon", "missing_epsilon", "missing_records",
+             "missing_problem", "eps_g_out_of_range", "top_level_list"],
+    )
+    def test_verify_bad_header_exits_2(self, tmp_path, capsys, damage, field):
+        raw = base_config(
+            tmp_path / "bad", sampling={"mode": "exact"}, epsilon_grid=[0.1],
+            replications=1, save_traces=True,
+        )
+        run_experiment(ExperimentConfig.from_dict(raw))
+        path = tmp_path / "bad" / "trace_e0_r0.json"
+        data = json.loads(path.read_text())
+        if isinstance(damage, dict):
+            # None deletes the key; eps_g, null in the saved trace, stays.
+            data.update(damage)
+            data = {k: v for k, v in data.items() if v is not None or k == "eps_g"}
+        else:
+            data = damage
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["verify", str(path)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--trials", "0"], ["--seed", "-1"]], ids=["trials", "seed"])
+    def test_lmo_check_rejects_empty_or_unseedable_runs(self, tmp_path, capsys, argv):
+        # --trials 0 would compare no direction and pass without checking anything.
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(json.dumps({"preset": "simplex", "dim": 3}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lmo-check", str(poly_path), *argv])
+        assert exc.value.code == 2
+        assert "--trials must be >= 1 and --seed >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override",
@@ -337,14 +422,36 @@ class TestCLI:
             {"workers": 0},
             {"max_iter": -5},
             {"sampling": {"mode": "fixed", "n": 0}},
+            {"epsilon_grid": "0.1"},
+            {"epsilon_grid": [0.4, math.nan]},
+            {"epsilon_grid": [0.4, math.inf]},
+            {"eps_g": "x"},
+            {"eps_g": 5},
+            {"eps_g": -1},
+            {"eps_g": math.nan},
+            {"sampling": "fixed"},
+            {"sampling": {"mode": "fixed"}},
+            {"sampling": {"mode": "subgaussian_standard"}},
+            {"sampling": {"mode": "subgaussian_standard", "params": []}},
+            {"sampling": {"mode": "subgaussian_standard", "params": {"c": "x"}}},
+            {"sampling": {"mode": "subgaussian_standard", "params": {"c": -1}}},
+            {"save_traces": "no"},
+            {"output_dir": 5},
         ],
-        ids=["noise_kind", "sampling_mode", "workers", "max_iter", "fixed_n_zero"],
+        ids=["noise_kind", "sampling_mode", "workers", "max_iter", "fixed_n_zero",
+             "string_epsilon_grid", "nan_epsilon", "inf_epsilon", "string_eps_g", "eps_g_above",
+             "eps_g_negative", "eps_g_nan", "string_sampling", "fixed_without_n",
+             "subgaussian_without_c", "list_params", "string_c", "negative_c",
+             "string_save_traces", "numeric_output_dir"],
     )
     def test_invalid_field_exits_2(self, tmp_path, capsys, override):
+        raw = base_config(tmp_path / "out")
+        raw.update(override)  # override may replace output_dir itself
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(base_config(tmp_path / "out", **override)))
+        path.write_text(json.dumps(raw))
         assert cli_main(["run", str(path)]) == 2
         assert f"config error: {next(iter(override))}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "override, field",
@@ -378,18 +485,18 @@ class TestCLI:
             ({"preset": "box", "dim": 16}, {"eigenvalues": [1.0] * 16, "z": [0.5] * 16}, None,
              "polytope: vertex enumeration needs C(m, d) = C(32, 16)"),
             (None, {"eigenvalues": [1.0, -2.0, 3.0], "z": [0.4, 0.3, 0.2]}, None,
-             "objective: eigenvalues must be nonempty and positive"),
+             "objective.eigenvalues: must be > 0"),
             (None, {"eigenvalues": [], "z": []}, None,
-             "objective: eigenvalues must be nonempty and positive"),
+             "objective.eigenvalues: must be a nonempty 1-d array of numbers"),
             (None, None, {"kind": "gaussian", "sigma": -1.0}, "noise.sigma: must be >= 0"),
             (None, None, {"kind": "rademacher", "scale": -1.0}, "noise.scale: must be >= 0"),
             ({"preset": "box", "dim": 0}, {"eigenvalues": [], "z": []}, None,
              "polytope.dim: must be >= 1, got 0"),
             ({"preset": "simplex", "dim": -1}, None, None, "polytope.dim: must be >= 1, got -1"),
             ({"A": [[1, 0, 0], [0, 1, 0]], "b": [1, 1, 1]}, None, None,
-             "polytope: A has 2 rows but b has 3 entries"),
+             "polytope.b: A has 2 rows but b has 3 entries"),
             (None, {"eigenvalues": [1.0, 2.0], "z": [0.4, 0.3, 0.2]}, None,
-             "objective: 2 eigenvalues but z has dimension 3"),
+             "objective.z: 2 eigenvalues but z has dimension 3"),
             ({"A": BOX3_A, "b": [1.0, 1.0, 1.0, math.nan, 0.0, 0.0]}, None, None,
              "polytope.b: must be finite"),
             ({"A": [[math.inf, 0, 0]] + BOX3_A[1:], "b": [1, 1, 1, 0, 0, 0]}, None, None,
@@ -398,12 +505,42 @@ class TestCLI:
              "polytope.scale: must be finite"),
             (None, {"eigenvalues": [1.0, 2.0, 3.0], "z": [math.inf, 0.3, 0.2]}, None,
              "objective.z: must be finite"),
+            (None, None, "gaussian", "noise: must be an object, got 'gaussian'"),
+            (None, None, {"kind": "gaussian", "sigma": "a"}, "noise.sigma: must be a number"),
+            (None, None, {"kind": "gaussian", "sigma": math.inf}, "noise.sigma: must be finite"),
+            (None, None, {"kind": "gaussian"}, "noise.sigma: missing"),
+            (None, None, {"kind": "student_t", "dof": "5", "scale": 1.0},
+             "noise.dof: must be an integer, got '5'"),
+            (None, None, {"kind": "student_t", "dof": 4.5, "scale": 1.0},
+             "noise.dof: must be an integer, got 4.5"),
+            ({"A": [[1, 0, 0], [0, 1], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+              "b": [1, 1, 1, 0, 0, 0]}, None, None,
+             "polytope.A: must be a nonempty 2-d array of numbers"),
+            ("simplex", None, None, "polytope: must be an object, got 'simplex'"),
+            ({"preset": "box", "dim": 3, "scale": -1}, None, None,
+             "polytope.scale: must be > 0, got -1"),
+            ({"preset": "box", "dim": 3, "scale": 0}, None, None,
+             "polytope.scale: must be > 0, got 0"),
+            ({"preset": "simplex", "dim": "3"}, None, None,
+             "polytope.dim: must be an integer, got '3'"),
+            ({"preset": "simplex", "dim": 2.5}, None, None,
+             "polytope.dim: must be an integer, got 2.5"),
+            (None, {"eigenvalues": [1.0, math.inf, 3.0], "z": [0.4, 0.3, 0.2]}, None,
+             "objective.eigenvalues: must be finite"),
+            (None, {"eigenvalues": [1.0, 2.0, 3.0], "z": [0.4, 0.3, 0.2], "rotation_seed": "x"},
+             None, "objective.rotation_seed: must be an integer, got 'x'"),
+            (None, {"eigenvalues": [1.0, 2.0, 3.0], "z": [0.4, 0.3, 0.2], "rotation_seed": 1.5},
+             None, "objective.rotation_seed: must be an integer, got 1.5"),
+            (None, {"eigenvalues": [1.0, 2.0, 3.0]}, None, "objective.z: missing"),
         ],
         ids=["unknown_preset", "dimension_mismatch", "student_t_dof", "unbounded", "subset_cap",
              "nonpositive_eigenvalue", "empty_objective", "negative_sigma",
              "negative_rademacher_scale", "box_dim_zero", "simplex_dim_negative",
              "a_b_row_mismatch", "eigenvalues_z_length_mismatch", "nan_in_b", "inf_in_A",
-             "inf_scale", "inf_in_z"],
+             "inf_scale", "inf_in_z", "string_noise", "string_sigma", "inf_sigma",
+             "missing_sigma", "string_dof", "fractional_dof", "ragged_A", "string_polytope",
+             "negative_scale", "zero_scale", "string_dim", "fractional_dim", "inf_eigenvalue",
+             "string_rotation_seed", "fractional_rotation_seed", "missing_z"],
     )
     def test_bad_problem_exits_2_and_leaves_no_output_dir(
         self, tmp_path, capsys, polytope, objective, noise, field
@@ -456,3 +593,61 @@ class TestCLI:
         path.write_text(json.dumps({"algorithm": "standard"}))
         assert cli_main(["run", str(path)]) == 2
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+_DELETE = object()
+# Fields of base_config a mutation may replace or delete; an int indexes a
+# list. output_dir is left out: a string there would write outside tmp.
+_FIELDS = [
+    ("algorithm",), ("epsilon_grid",), ("epsilon_grid", 0), ("replications",),
+    ("master_seed",), ("max_iter",), ("eps_g",), ("workers",),
+    ("save_traces",), ("noise",), ("noise", "kind"), ("noise", "sigma"), ("noise", "dof"),
+    ("sampling",), ("sampling", "mode"), ("sampling", "n"), ("sampling", "params"),
+    ("problem",), ("problem", "polytope"), ("problem", "polytope", "preset"),
+    ("problem", "polytope", "dim"), ("problem", "polytope", "scale"),
+    ("problem", "polytope", "A"), ("problem", "objective"),
+    ("problem", "objective", "eigenvalues"), ("problem", "objective", "eigenvalues", 0),
+    ("problem", "objective", "z"), ("problem", "objective", "z", 1),
+    ("problem", "objective", "rotation_seed"),
+]
+# Small values only: a valid mutation must still run in well under a second.
+_VALUES = [
+    _DELETE, None, True, False, "x", "0.1", "gaussian", "student_t", "subgaussian_away", "box",
+    [], {}, [1.0, "a"], [[1, 0], [1]], {"c": -1}, {"kind": "student_t"},
+    -1, 0, 1, 2, 3, 2.5, 0.05, 10.0, math.nan, math.inf, -math.inf,
+]
+
+
+def _mutate(raw, path, value):
+    """Replace (or delete) the field at path; a path an earlier mutation
+    broke is skipped."""
+    *steps, last = path
+    try:
+        for step in steps:
+            raw = raw[step]
+        if value is _DELETE:
+            del raw[last]
+        else:
+            raw[last] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FIELDS), st.sampled_from(_VALUES)), min_size=1,
+                max_size=3))
+def test_mutated_config_exits_cleanly(mutations):
+    # Whatever the fields hold, `polyfw run` succeeds (0), names a config
+    # error (2) or a failed check (3); it never raises, and a config error
+    # leaves no output directory behind.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        raw = base_config(out)
+        for path, value in mutations:
+            _mutate(raw, path, value)
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code = cli_main(["run", str(cfg_path)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
