@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .config import config_choice, config_float, config_int, need
+from .config import config_choice, config_float, config_int, config_number, config_type, need
 from .diagnostics import compute_constants, verify_trace
 from .errors import ConfigError, PolyFWError
 from .geometry import lmo, polytope_from_json
@@ -88,14 +88,23 @@ def cmd_concentration(args) -> int:
 
 def cmd_report(args) -> int:
     summary = _load_json(f"{args.dir}/summary.json")
+
+    def number(spec, path, key):
+        return config_number(f"{path}.{key}", need(spec, path, key))
+
+    # Every field is read before the first line is printed.
+    per_eps = config_type("summary.per_epsilon", need(summary, "summary", "per_epsilon"), list)
+    keys = ("epsilon", "mean_T", "q90", "good_event_rate", "bound_mean_T")
+    table = [[number(p, f"summary.per_epsilon[{k}]", key) for key in keys]
+             for k, p in enumerate(per_eps)]
+    slope, r2 = number(summary, "summary", "slope"), number(summary, "summary", "r2")
+    violations = config_int(
+        "summary.bound_violations", need(summary, "summary", "bound_violations"), 0
+    )
     print(f"{'epsilon':>10} {'mean_T':>12} {'q90':>10} {'good_rate':>10} {'bound':>14}")
-    for p in summary["per_epsilon"]:
-        print(
-            f"{p['epsilon']:>10.4g} {p['mean_T']:>12.2f} {p['q90']:>10.1f} "
-            f"{p['good_event_rate']:>10.4f} {p['bound_mean_T']:>14.4g}"
-        )
-    print(f"slope {summary['slope']:.3f} (r2 {summary['r2']:.3f}), "
-          f"bound violations {summary['bound_violations']}")
+    for eps, mean_T, q90, rate, bound in table:
+        print(f"{eps:>10.4g} {mean_T:>12.2f} {q90:>10.1f} {rate:>10.4f} {bound:>14.4g}")
+    print(f"slope {slope:.3f} (r2 {r2:.3f}), bound violations {violations}")
     return 0
 
 

@@ -1,16 +1,16 @@
-"""Readers for outside input. Every field of a JSON config or trace header
-is read through one of them, which checks the field's type, finiteness and
-range and raises ConfigError naming its path."""
+"""Readers for outside input. Every field of a JSON config, trace header or
+summary is read through one of them, which checks the field's type,
+finiteness and range and raises ConfigError naming its path."""
 
 import numpy as np
 
 from .errors import ConfigError
 
-_TYPE_NAMES = {dict: "an object", str: "a string", bool: "true or false"}
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
 
 
 def config_type(path: str, value, kind: type):
-    """value, which must be of the JSON type kind: dict, str or bool."""
+    """value, which must be of the JSON type kind: dict, list, str or bool."""
     if not isinstance(value, kind):
         raise ConfigError(path, f"must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
@@ -37,6 +37,13 @@ def config_int(path: str, value, minimum: int) -> int:
     if value < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def config_number(path: str, value) -> float:
+    """Any JSON number, NaN and the infinities included, as a float."""
+    if type(value) not in (int, float):
+        raise ConfigError(path, f"must be a number, got {value!r}")
+    return float(value)
 
 
 def config_float(path: str, value, minimum=-np.inf, above=False, ndim=0):

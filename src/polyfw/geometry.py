@@ -30,7 +30,8 @@ DEDUP_TOL = 1e-8
 MAX_SUBSETS = 10**6
 # d-row subsets per stacked solve; bounds the chunk's arrays to 2048 d x d systems.
 SUBSET_CHUNK = 2048
-# Floats per block of vertex-pair differences in the diameter (8 MB).
+# Floats per block of the diameter's screen matrix and of its exact pair
+# differences (8 MB).
 PAIR_BLOCK = 2**20
 # A basis whose |det| is below this share of the product of its row norms
 # (Hadamard's bound) is numerically singular, e.g. a row and a rounded
@@ -208,13 +209,24 @@ def first_kept(X: np.ndarray) -> np.ndarray:
 
 def prove_bounded(P: Polytope) -> None:
     """Prove {Ax <= b} bounded by minimizing and maximizing every coordinate
-    with the simplex method (2d linear programs).
+    with the simplex method (at most 2d linear programs).
 
-    An unbounded coordinate raises ConfigError naming the direction of the
-    ray; an empty polytope raises UnboundedOrEmpty.
+    A row of A that is nonzero only at coordinate i, a x_i <= b, bounds x_i
+    above when a > 0 and below when a < 0: it is the dual certificate of
+    that direction, whose LP is skipped (the box needs none). An unbounded
+    coordinate raises ConfigError naming the direction of the ray; an empty
+    polytope raises UnboundedOrEmpty, here from the first LP or, when every
+    direction has such a row, from the enumeration that finds no vertex.
     """
+    axis_rows = P.A[np.count_nonzero(P.A, axis=1) == 1]
+    cols = axis_rows.nonzero()[1]
+    # (i, s) for each LP, minimize s * x_i, that a row certifies: s = -sign(a).
+    signs = -np.sign(axis_rows[np.arange(len(cols)), cols])
+    certified = set(zip(cols.tolist(), signs.tolist()))
     for i in range(P.dim):
         for sign, bound, ray in ((1.0, "below", "-"), (-1.0, "above", "+")):
+            if (i, sign) in certified:
+                continue
             c = np.zeros(P.dim)
             c[i] = sign
             try:
@@ -281,13 +293,7 @@ def geometry_constants(P: Polytope, tol: float = FEAS_TOL) -> GeometryConstants:
         return P._geo
     V = P.vertices
     N = len(V)
-    # Pairwise squared distances a block of rows at a time: each block's
-    # difference array holds at most PAIR_BLOCK floats.
-    block = max(1, PAIR_BLOCK // (N * P.dim))
-    D = float(np.sqrt(max(
-        ((V[i : i + block, None, :] - V[None, :, :]) ** 2).sum(axis=2).max()
-        for i in range(0, N, block)
-    )))
+    D = diameter(V)
     if D == 0.0:
         raise DegeneratePolytope("the polytope is a single point (diameter 0)")
     slack = P.b[None, :] - V @ P.A.T  # (N, m)
@@ -302,6 +308,42 @@ def geometry_constants(P: Polytope, tol: float = FEAS_TOL) -> GeometryConstants:
     geo = GeometryConstants(D=D, N=N, zeta=zeta, phi=phi, omega=zeta / phi)
     P._geo = geo
     return geo
+
+
+def diameter(V: np.ndarray) -> float:
+    """max ||v_i - v_j|| over the rows of V, bit for bit the square root of
+    the largest ((v_i - v_j) ** 2).sum().
+
+    A Gram-matrix screen on the centred rows, ||c_i||^2 + ||c_j||^2 - 2 c_i.c_j,
+    puts every pair's squared distance within `margin` of that exact sum;
+    it runs a block of rows at a time, each block's matrix holding at most
+    PAIR_BLOCK floats. Only the pairs the screen cannot rule out are summed
+    exactly, PAIR_BLOCK values at a time.
+    """
+    N, d = V.shape
+    C = V - V.mean(axis=0)
+    sq = (C * C).sum(axis=1)
+    # Centring, the screen and the exact sum each round off by at most a few
+    # (d + 4) eps * max ||c||^2 (every squared distance is <= 4 max ||c||^2).
+    margin = 64 * (d + 4) * np.finfo(float).eps * sq.max()
+    rows = max(1, PAIR_BLOCK // N)
+    pairs = max(1, PAIR_BLOCK // d)
+    # One product gives S[i, j] = ||c_i||^2 + ||c_j||^2 - 2 c_i.c_j; with the
+    # Fortran-ordered right factor vstack returns, the product runs ~8x slower.
+    ones = np.ones(N)
+    left = np.column_stack([C, sq, ones])
+    right = np.ascontiguousarray(np.vstack([-2.0 * C.T, ones, sq]))
+    best = -np.inf
+    for i in range(0, N, rows):
+        S = left[i : i + rows] @ right
+        # A pair below either floor cannot hold the largest exact sum.
+        floor = max(S.max() - 2 * margin, best - margin)
+        ii, jj = np.divmod(np.flatnonzero(S >= floor), N)
+        ii += i
+        for k in range(0, len(ii), pairs):
+            diff = V[ii[k : k + pairs]] - V[jj[k : k + pairs]]
+            best = max(best, (diff**2).sum(axis=1).max())
+    return float(np.sqrt(best))
 
 
 def unit_box(dim: int, scale: float = 1.0) -> Polytope:

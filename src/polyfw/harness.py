@@ -252,6 +252,7 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
         total_good = sum(r["good_steps"] for r in cell_rows)
         total_steps = sum(r["n_steps"] for r in cell_rows)
         mean_T = float(Ts.mean()) if len(Ts) else float("nan")
+        quantiles = np.quantile(Ts, [0.5, 0.9, 0.99]).tolist() if len(Ts) else [math.nan] * 3
         if len(Ts) and mean_T > bound:
             bound_violations += 1
         per_eps.append(
@@ -260,9 +261,9 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
                 n_planned=n_planned,
                 mean_T=mean_T,
                 std_T=float(Ts.std(ddof=1)) if len(Ts) > 1 else 0.0,
-                q50=float(np.quantile(Ts, 0.5)) if len(Ts) else float("nan"),
-                q90=float(np.quantile(Ts, 0.9)) if len(Ts) else float("nan"),
-                q99=float(np.quantile(Ts, 0.99)) if len(Ts) else float("nan"),
+                q50=quantiles[0],
+                q90=quantiles[1],
+                q99=quantiles[2],
                 mean_total_samples=(
                     float(np.mean([r["total_samples"] for r in done])) if done else float("nan")
                 ),
@@ -344,8 +345,10 @@ def _trace_path(cfg: ExperimentConfig, eps_index: int, replication: int) -> str:
 
 
 def _save_trace(cfg, eps_index, replication, trace):
+    # json.dumps runs the C encoder; json.dump streams through the pure-Python
+    # one. Both write the same bytes.
     with open(_trace_path(cfg, eps_index, replication), "w") as fh:
-        json.dump(trace_to_json(cfg, eps_index, trace), fh)
+        fh.write(json.dumps(trace_to_json(cfg, eps_index, trace)))
 
 
 def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dict:
@@ -357,14 +360,18 @@ def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dic
         "T_eps": trace.T_eps,
         "total_samples": trace.total_samples,
         "final_gap": trace.final_gap,
-        "records": [dataclasses.asdict(rec) for rec in trace.records],
+        # Every field is a scalar, so a shallow copy is asdict's deep one.
+        "records": [dict(vars(rec)) for rec in trace.records],
     }
 
 
 def trace_from_json(data: dict) -> RunTrace:
     """Rebuild a trace from trace_to_json; a bad record raises MalformedTrace."""
+    raw = need(data, "trace", "records")
+    if not isinstance(raw, list):
+        raise MalformedTrace(f"records must be a list, got {raw!r}")
     records = []
-    for i, rec in enumerate(need(data, "trace", "records")):
+    for i, rec in enumerate(raw):
         try:
             records.append(IterationRecord(**rec))
         except TypeError as exc:  # names the missing or unknown key

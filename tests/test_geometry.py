@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyfw import geometry
+from polyfw import geometry, simplex_lp
 from polyfw.errors import (
     ConfigError,
     DegeneratePolytope,
@@ -21,6 +21,7 @@ from polyfw.geometry import (
     Polytope,
     active_index_set,
     active_index_set_of_vertex_set,
+    diameter,
     enumerate_vertices,
     geometry_constants,
     lmo,
@@ -31,6 +32,17 @@ from polyfw.geometry import (
 )
 
 from conftest import random_polytope
+
+
+def full_diameter(V):
+    return float(np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(axis=2).max()))
+
+
+def rotated_box(d, seed=5):
+    """[0, 1]^d turned by a random rotation: no row of A is an axis row."""
+    R = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+    P = unit_box(d)
+    return Polytope(P.A @ R.T, P.b)
 
 
 def as_set(V, tol=1e-8):
@@ -252,6 +264,24 @@ class TestBoundednessAndCap:
         with pytest.raises(ConfigError, match=re.escape(f"ray along {direction}")):
             enumerate_vertices(Polytope(A, b))
 
+    @pytest.mark.parametrize(
+        "P, lps, n_vertices",
+        [(unit_box(8), 0, 256), (unit_simplex(3), 3, 4), (rotated_box(4), 8, 16)],
+        ids=["box8", "simplex3", "rotated_box4"],
+    )
+    def test_axis_rows_replace_their_lps(self, monkeypatch, P, lps, n_vertices):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return solve_lp(*args)
+
+        solve_lp = simplex_lp.solve_lp
+        monkeypatch.setattr(simplex_lp, "solve_lp", counted)
+        geometry.prove_bounded(P)
+        assert len(calls) == lps
+        assert len(enumerate_vertices(P)) == n_vertices
+
     def test_subset_cap_fails_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("enumeration started work above the cap")
@@ -374,6 +404,36 @@ class TestGeometryConstants:
         full = float(np.sqrt(((V[:, None, :] - V[None, :, :]) ** 2).sum(axis=2).max()))
         monkeypatch.setattr(geometry, "PAIR_BLOCK", pair_block)
         assert geometry_constants(P).D == full
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6, -3.7e5])
+    def test_screened_diameter_equals_the_full_pair_array(self, rng, shift):
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            V = random_polytope(rng, d, extra=int(rng.integers(0, 7))).vertices
+            V = V @ np.linalg.qr(rng.standard_normal((d, d)))[0] + shift
+            assert diameter(V) == full_diameter(V)
+
+    def test_screened_diameter_on_rotated_boxes(self):
+        # Every antipodal pair ties up to rounding, and the screen orders
+        # them differently from the exact sums: a zero margin fails here.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(3, 7))
+            R = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            V = unit_box(d).vertices @ R.T + rng.choice([0.0, 1e6, -3e3])
+            assert diameter(V) == full_diameter(V)
+
+    @pytest.mark.parametrize(
+        "V",
+        [unit_box(5).vertices + 1e6, probability_simplex(6).vertices, np.zeros((1, 3))],
+        ids=["translated_box", "equidistant", "single_point"],
+    )
+    @pytest.mark.parametrize("pair_block", [1, 37, geometry.PAIR_BLOCK])
+    def test_screened_diameter_on_ties_and_blocks(self, monkeypatch, V, pair_block):
+        # Every pair of the simplex, and every antipodal pair of the box,
+        # ties for the maximum; small blocks carry the best sum across blocks.
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", pair_block)
+        assert diameter(V) == full_diameter(V)
 
     def test_diameter_memory_is_bounded(self):
         # The full N x N x d pair array of the d = 10 box alone takes 80 MB.

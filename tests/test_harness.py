@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import math
 import tempfile
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyfw.cli import main as cli_main
 from polyfw import harness
-from polyfw.errors import ConfigError, DegenerateFit
+from polyfw.errors import ConfigError, DegenerateFit, MalformedTrace
 from polyfw.geometry import unit_simplex
 from polyfw.harness import (
     CSV_HEADER,
@@ -130,6 +132,33 @@ class TestRunExperiment:
         data = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert len(data["per_epsilon"]) == 3
         assert data["bound_violations"] == summary.bound_violations
+
+    def test_quantiles_equal_separate_quantile_calls(self, tmp_path):
+        summary = run_experiment(ExperimentConfig.from_dict(base_config(tmp_path / "q")))
+        lines = (tmp_path / "q" / "runs.csv").read_text().splitlines()[1:]
+        for p in summary.per_epsilon:
+            Ts = np.array([float(f[2]) for f in (line.split(",") for line in lines)
+                           if float(f[0]) == p.epsilon])
+            assert [p.q50, p.q90, p.q99] == [float(np.quantile(Ts, q)) for q in (0.5, 0.9, 0.99)]
+
+    @pytest.mark.parametrize("algorithm, max_iter", [("standard", 5000), ("away", 5000),
+                                                     ("away", 3)])
+    def test_saved_trace_bytes_equal_json_dump_of_asdict(self, tmp_path, algorithm, max_iter):
+        # max_iter 3 leaves T_eps at None (null) in every trace.
+        raw = base_config(tmp_path / "t", algorithm=algorithm, max_iter=max_iter,
+                          replications=2, save_traces=True)
+        cfg = ExperimentConfig.from_dict(raw)
+        run_experiment(cfg)
+        prob = harness._Problem(cfg)
+        for i in range(len(cfg.epsilon_grid)):
+            for r in range(cfg.replications):
+                _, trace = harness.run_cell(cfg, prob, i, r)
+                old = io.StringIO()
+                data = harness.trace_to_json(cfg, i, trace)
+                data["records"] = [dataclasses.asdict(rec) for rec in trace.records]
+                json.dump(data, old)
+                saved = (tmp_path / "t" / f"trace_e{i}_r{r}.json").read_text()
+                assert saved == old.getvalue()
 
     def test_deterministic_across_reruns_and_workers(self, tmp_path):
         raw = base_config(tmp_path / "w1")
@@ -301,7 +330,9 @@ class TestCLI:
         assert trace.T_eps == data["T_eps"]
         assert trace.records[-1].step_type is None
 
-    @pytest.mark.parametrize("damage", ["missing_key", "unknown_key", "not_an_object"])
+    @pytest.mark.parametrize(
+        "damage", ["missing_key", "unknown_key", "not_an_object", "records_not_a_list"]
+    )
     def test_verify_malformed_trace_exits_3(self, tmp_path, damage):
         raw = base_config(
             tmp_path / "bad", sampling={"mode": "exact"}, epsilon_grid=[0.1],
@@ -314,10 +345,52 @@ class TestCLI:
             del data["records"][0]["lyapunov"]
         elif damage == "unknown_key":
             data["records"][0]["extra"] = 1
-        else:
+        elif damage == "not_an_object":
             data["records"][0] = [1, 2]
+        else:
+            data["records"] = 5
         path.write_text(json.dumps(data))
         assert cli_main(["verify", str(path)]) == 3
+
+    def test_records_not_a_list_is_a_malformed_trace(self):
+        with pytest.raises(MalformedTrace, match="records must be a list, got 5"):
+            trace_from_json({"records": 5})
+
+    def test_report(self, tmp_path, capsys):
+        # Two epsilons leave slope and r2 NaN, as summary.json writes them.
+        raw = base_config(tmp_path / "rep", epsilon_grid=[0.4, 0.2])
+        summary = run_experiment(ExperimentConfig.from_dict(raw))
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path / "rep")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["epsilon", "mean_T", "q90", "good_rate", "bound"]
+        assert len(lines) == 4
+        assert float(lines[1].split()[1]) == round(summary.per_epsilon[0].mean_T, 2)
+        assert lines[3] == f"slope nan (r2 nan), bound violations {summary.bound_violations}"
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            ({"slope": None}, "summary.slope: missing"),
+            ({"per_epsilon": "x"}, "summary.per_epsilon: must be an array, got 'x'"),
+            ({"per_epsilon": [5]}, "summary.per_epsilon[0]: must be an object, got 5"),
+            ({"per_epsilon": [{}]}, "summary.per_epsilon[0].epsilon: missing"),
+            ({"r2": "0.9"}, "summary.r2: must be a number, got '0.9'"),
+            ({"bound_violations": 1.5}, "summary.bound_violations: must be an integer"),
+        ],
+    )
+    def test_report_bad_summary_exits_2_naming_the_field(self, tmp_path, capsys, damage, field):
+        run_experiment(ExperimentConfig.from_dict(base_config(tmp_path / "rep")))
+        path = tmp_path / "rep" / "summary.json"
+        data = json.loads(path.read_text())
+        data.update(damage)
+        data = {k: v for k, v in data.items() if v is not None}
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path / "rep")]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""
 
     def test_lmo_check(self, tmp_path):
         poly_path = tmp_path / "poly.json"

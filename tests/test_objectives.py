@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyfw.errors import DimensionMismatch
-from polyfw.geometry import unit_box, unit_simplex
+from polyfw.geometry import Polytope, unit_box, unit_simplex
 from polyfw.objectives import (
     QuadraticObjective,
     max_abs_value,
@@ -146,6 +146,33 @@ def test_max_abs_value_by_vertex_scan():
     obj = QuadraticObjective([1.0, 1.0], z=[2.0, 2.0])
     # On the unit box the farthest vertex from z is the origin: f = 4.
     assert np.isclose(max_abs_value(obj, unit_box(2)), 4.0)
+
+
+@pytest.mark.parametrize("z_scale", [0.5, 1e3, 1e6])
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_screened_max_abs_value_equals_the_scan(rng, z_scale, shift):
+    # z_scale 0.5 puts z inside or near the polytope, 1e6 far outside it;
+    # shift translates the vertices (and z with them) by 10^6.
+    for _ in range(30):
+        d = int(rng.integers(2, 6))
+        P = random_polytope(rng, d, extra=int(rng.integers(0, 6)))
+        P = Polytope(P.A, P.b, vertices=P.vertices + shift)
+        seed = None if rng.random() < 0.3 else int(rng.integers(1000))
+        obj = QuadraticObjective(
+            rng.uniform(0.1, 5.0, d), z=z_scale * rng.standard_normal(d) + shift,
+            rotation_seed=seed,
+        )
+        assert max_abs_value(obj, P) == max(obj.value(v) for v in P.vertices)
+
+
+def test_screened_max_abs_value_on_ties():
+    # z at the centre of the box and Q = I up to rounding: all 2^d vertices
+    # tie, and a zero margin picks the wrong one for some seeds.
+    for seed in range(200):
+        d = 3 + seed % 6
+        obj = QuadraticObjective(np.ones(d), z=np.full(d, 0.5), rotation_seed=seed)
+        P = unit_box(d)
+        assert max_abs_value(obj, P) == max(obj.value(v) for v in P.vertices)
 
 
 def test_objective_from_json_roundtrip():
