@@ -19,7 +19,9 @@ DROP_TOL = 1e-12
 class ActiveSet:
     """Convex-combination representation of the current iterate: one weight
     per vertex of P in the array w, positive on the active vertices, zero
-    elsewhere and summing to one; point is w @ V, with V = P.vertices.
+    elsewhere and summing to one; point is w @ V, with V = P.vertices,
+    computed as w.dot(V) (the same bits on C-contiguous float64 operands,
+    without the matmul call overhead).
 
     Weights at or below DROP_TOL are zeroed and the remaining mass
     renormalized, so floating-point dust never accumulates.
@@ -58,7 +60,7 @@ class ActiveSet:
             raise InvariantViolation(f"active-set mass {total} lost; representation corrupt")
         if total != 1.0:
             w /= total
-        self.point = w @ self.V
+        self.point = w.dot(self.V)
 
     def validate(self, tol_sum: float = 1e-10, tol_point: float = 1e-8) -> None:
         """Check the representation invariants; raises InvariantViolation."""
@@ -117,15 +119,15 @@ def away_fw_step(
     V = P.vertices
     x = active.point
     if scores is None:
-        scores = V @ g
+        scores = V.dot(g)
     s_id = int(scores.argmin())
     v_id = int(np.where(active.w > 0.0, scores, -np.inf).argmax())
     s, v, alpha_v = V[s_id], V[v_id], float(active.w[v_id])
     d_fw = s - x
     d_away = x - v
-    g_vs = float(g @ (v - s))  # always >= 0 by optimality of s and v
+    g_vs = float(g.dot(v - s))  # always >= 0 by optimality of s and v
 
-    take_fw = -float(g @ d_fw) >= -float(g @ d_away)
+    take_fw = -float(g.dot(d_fw)) >= -float(g.dot(d_away))
     if take_fw:
         d, gamma_max = d_fw, 1.0
     else:
@@ -135,10 +137,10 @@ def away_fw_step(
             raise InvariantViolation("away branch reached with a singleton active set")
         d, gamma_max = d_away, alpha_v / (1.0 - alpha_v)
 
-    norm2 = float(d @ d)
+    norm2 = float(d.dot(d))
     if norm2 <= 1e-28:
         raise DegenerateDirection("search direction is numerically zero")
-    descent = -float(g @ d)
+    descent = -float(g.dot(d))
     if not descent >= -1e-12:
         raise InvariantViolation("chosen direction is not a descent direction for g")
     unclamped = max(0.0, descent) / (L * norm2)

@@ -73,7 +73,8 @@ class Polytope:
         self.A = A
         self.b = b
         self.row_norms = np.linalg.norm(A, axis=1)
-        self._vertices = None if vertices is None else np.asarray(vertices, float)
+        # C-contiguous, so V.dot(g) and w.dot(V) give the bits of V @ g and w @ V.
+        self._vertices = None if vertices is None else np.ascontiguousarray(vertices, float)
         self._geo = None
 
     @property
@@ -246,11 +247,11 @@ def lmo(P: Polytope, g) -> tuple[np.ndarray, int]:
 
     Ties break to the smallest vertex id in enumeration order.
     """
-    g = np.asarray(g, dtype=float)
+    g = np.ascontiguousarray(g, dtype=float)
     V = P.vertices
     if len(V) == 0:
         raise EmptyVertexList("polytope has no enumerated vertices")
-    vid = int((V @ g).argmin())
+    vid = int(V.dot(g).argmin())
     return V[vid], vid
 
 

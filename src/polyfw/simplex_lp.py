@@ -27,12 +27,9 @@ def _bland_iterate(T, cost, basis, allowed):
     breaks ratio ties by the lowest basic variable index."""
     m = T.shape[0]
     while True:
-        entering = -1
-        for j in range(T.shape[1] - 1):
-            if allowed[j] and cost[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        negative = allowed & (cost[:-1] < -_PIVOT_TOL)
+        entering = int(negative.argmax())  # the first True
+        if not negative[entering]:
             return
         best_ratio = None
         leave = -1
@@ -76,65 +73,50 @@ def solve_lp(c, A, b) -> tuple[np.ndarray, float]:
 
     # Columns: x+ (d), x- (d), slack (m), artificial (one per negated row).
     neg = b < 0
-    n_art = int(neg.sum())
-    n = 2 * d + m + n_art
+    sign = np.where(neg, -1.0, 1.0)
+    art_rows = np.flatnonzero(neg)
+    n_real = 2 * d + m
+    art_cols = n_real + np.arange(len(art_rows))
+    n = n_real + len(art_rows)
     T = np.zeros((m, n + 1))
-    basis = np.zeros(m, dtype=int)
-    art_cols = []
-    k_art = 0
-    for i in range(m):
-        sign = -1.0 if neg[i] else 1.0
-        T[i, :d] = sign * A[i]
-        T[i, d : 2 * d] = -sign * A[i]
-        T[i, 2 * d + i] = sign
-        T[i, -1] = sign * b[i]
-        if neg[i]:
-            col = 2 * d + m + k_art
-            T[i, col] = 1.0
-            basis[i] = col
-            art_cols.append(col)
-            k_art += 1
-        else:
-            basis[i] = 2 * d + i
+    signed = sign[:, None] * A
+    T[:, :d] = signed
+    T[:, d : 2 * d] = -signed
+    T[np.arange(m), 2 * d + np.arange(m)] = sign
+    T[:, -1] = sign * b
+    T[art_rows, art_cols] = 1.0
+    basis = 2 * d + np.arange(m)
+    basis[art_rows] = art_cols
 
-    if n_art:
+    if len(art_rows):
         cost1 = np.zeros(n + 1)
         cost1[art_cols] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                cost1 -= T[i]
-        allowed = np.ones(n, dtype=bool)
-        _bland_iterate(T, cost1, basis, allowed)
+        for i in art_rows:  # row by row, in order: a summed subtraction rounds differently
+            cost1 -= T[i]
+        _bland_iterate(T, cost1, basis, np.ones(n, dtype=bool))
         if -cost1[-1] > 1e-7:
             raise Infeasible(f"phase one objective {-cost1[-1]:.3e} > 0")
         # Drive any residual artificial (at value zero) out of the basis.
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] in art_cols:
-                piv = next(
-                    (j for j in range(2 * d + m) if abs(T[i, j]) > _PIVOT_TOL), None
-                )
-                if piv is None:
-                    keep[i] = False  # redundant row
-                else:
-                    dummy = np.zeros(n + 1)
-                    _pivot(T, dummy, basis, i, piv)
+        for i in np.flatnonzero(basis >= n_real):
+            piv = np.flatnonzero(np.abs(T[i, :n_real]) > _PIVOT_TOL)
+            if not len(piv):
+                keep[i] = False  # redundant row
+            else:
+                _pivot(T, np.zeros(n + 1), basis, i, int(piv[0]))
         T = T[keep]
         basis = basis[keep]
 
-    art_set = set(art_cols)
-    allowed = np.array([j not in art_set for j in range(n)])
     cost2 = np.zeros(n + 1)
     cost2[:d] = c
     cost2[d : 2 * d] = -c
     for i in range(T.shape[0]):
         if cost2[basis[i]] != 0.0:
             cost2 -= cost2[basis[i]] * T[i]
-    _bland_iterate(T, cost2, basis, allowed)
+    _bland_iterate(T, cost2, basis, np.arange(n) < n_real)
 
     y = np.zeros(n)
-    for i in range(T.shape[0]):
-        y[basis[i]] = T[i, -1]
+    y[basis] = T[:, -1]
     x = y[:d] - y[d : 2 * d]
     return x, float(c @ x)
 

@@ -2,6 +2,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -253,6 +256,21 @@ class TestRunExperiment:
             assert p.mean_T <= p.bound_mean_T
             assert p.good_event_rate == 1.0
             assert p.n_planned == 0
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # The pool's modules cost every import ~25 ms; only workers > 1 loads them.
+    code = (
+        "import sys, polyfw\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_theorem_bound_formulas():

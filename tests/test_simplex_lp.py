@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyfw.errors import Infeasible, Unbounded
-from polyfw.geometry import lmo, probability_simplex, unit_box
+from polyfw.geometry import Polytope, lmo, probability_simplex, unit_box
 from polyfw.simplex_lp import lmo_simplex_method, solve_lp
 
 from conftest import random_polytope
@@ -48,3 +48,23 @@ def test_negative_rhs_phase_one():
     x, val = solve_lp([1.0], [[1.0], [-1.0]], [2.0, -1.0])
     assert np.isclose(val, 1.0)
     np.testing.assert_allclose(x, [1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_phase_one_lps_match_the_vertex_scan(rng, d):
+    # Shifting a random polytope far from the origin puts b < 0 in many rows,
+    # so every solve starts in phase one; the probability simplex adds an
+    # equality pair 1^T x <= 1, -1^T x <= -1.
+    shifted = []
+    for _ in range(5):
+        P = random_polytope(rng, d, extra=int(rng.integers(1, 5)))
+        t = rng.uniform(2.0, 5.0, d) * rng.choice([-1.0, 1.0], d)
+        shifted.append(Polytope(P.A, P.b + P.A @ t))
+    for P in [*shifted, probability_simplex(d)]:
+        assert np.any(P.b < 0)
+        for _ in range(40):
+            g = rng.standard_normal(d)
+            s, _ = lmo(P, g)
+            x, val = solve_lp(g, P.A, P.b)
+            assert np.all(P.A @ x <= P.b + 1e-8)
+            assert abs(val - g @ s) <= 1e-8 * (1.0 + abs(g @ s))
