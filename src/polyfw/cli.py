@@ -18,6 +18,7 @@ from .errors import ConfigError, PolyFWError
 from .geometry import lmo, polytope_from_json
 from .harness import (
     ALGORITHMS,
+    CONCENTRATION_MAX_VALUES,
     ExperimentConfig,
     concentration_experiment,
     run_experiment,
@@ -78,6 +79,9 @@ def cmd_concentration(args) -> int:
     n_grid = config_float("n_grid", need(spec, "", "n_grid"), 1, ndim=1).tolist()
     n_grid = [config_int("n_grid", n, 1) for n in n_grid]
     s_grid = config_float("s_grid", need(spec, "", "s_grid"), 0, above=True, ndim=1).tolist()
+    if trials * P.dim > CONCENTRATION_MAX_VALUES:
+        raise ConfigError("trials", f"{trials} trials x d = {P.dim} draws {trials * P.dim} "
+                          f"values per cell, above the limit of {CONCENTRATION_MAX_VALUES}")
     if noise.kind == "student_t" and trials * max(n_grid) * P.dim > STUDENT_T_MAX_DRAWS:
         raise ConfigError("n_grid", f"a student_t cell at n = {max(n_grid)} draws over "
                           f"{STUDENT_T_MAX_DRAWS} values")

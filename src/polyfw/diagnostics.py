@@ -14,12 +14,15 @@ from .geometry import Polytope, geometry_constants
 from .objectives import QuadraticObjective, max_abs_value
 
 
+# The step types a record can carry: idle (gamma = 0) is an away step whose
+# direction was numerically zero. The stop record has step_type None.
+STEP_TYPES = ("fw", "fw_max", "away", "away_drop", "idle")
+
+
 @dataclass
 class IterationRecord:
     k: int
-    # fw | fw_max | away | away_drop, or idle (gamma = 0) for an away step whose
-    # direction was numerically zero; None on the stop record
-    step_type: str | None
+    step_type: str | None  # one of STEP_TYPES, or None on the stop record
     gamma: float
     gamma_max: float
     n_samples: int

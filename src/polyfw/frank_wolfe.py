@@ -55,7 +55,7 @@ class ActiveSet:
     def _settle(self) -> None:
         w = self.w
         w[w <= DROP_TOL] = 0.0
-        total = w.sum()
+        total = np.add.reduce(w)  # w.sum() without its Python wrapper
         if not abs(total - 1.0) <= 0.5:
             raise InvariantViolation(f"active-set mass {total} lost; representation corrupt")
         if total != 1.0:
@@ -88,8 +88,10 @@ def standard_fw_step(
     active: ActiveSet, g: np.ndarray, P: Polytope, gamma: float
 ) -> tuple[ActiveSet, dict]:
     """One standard Frank-Wolfe step of the given size (standard_step_size)
-    towards the LMO vertex, applied to the given active set in place."""
-    _, s_id = lmo(P, g)
+    towards the LMO vertex, applied to the given active set in place. The
+    vertex is the first minimizer of V @ g, as lmo picks it; the scan is made
+    here, as in away_fw_step, to skip lmo's per-call argument handling."""
+    s_id = int(P.vertices.dot(g).argmin())
     active.apply_fw(s_id, gamma)
     info = {
         "step_type": "fw_max" if gamma >= 1.0 else "fw",
@@ -127,20 +129,21 @@ def away_fw_step(
     d_away = x - v
     g_vs = float(g.dot(v - s))  # always >= 0 by optimality of s and v
 
-    take_fw = -float(g.dot(d_fw)) >= -float(g.dot(d_away))
+    descent_fw = -float(g.dot(d_fw))
+    descent_away = -float(g.dot(d_away))
+    take_fw = descent_fw >= descent_away
     if take_fw:
-        d, gamma_max = d_fw, 1.0
+        d, gamma_max, descent = d_fw, 1.0, descent_fw
     else:
         # alpha_v = 1 makes d_away = 0 and -g.d_away = 0 <= -g.d_fw, so the
         # FW branch is taken and this division cannot see alpha_v = 1.
         if not alpha_v < 1.0:
             raise InvariantViolation("away branch reached with a singleton active set")
-        d, gamma_max = d_away, alpha_v / (1.0 - alpha_v)
+        d, gamma_max, descent = d_away, alpha_v / (1.0 - alpha_v), descent_away
 
     norm2 = float(d.dot(d))
     if norm2 <= 1e-28:
         raise DegenerateDirection("search direction is numerically zero")
-    descent = -float(g.dot(d))
     if not descent >= -1e-12:
         raise InvariantViolation("chosen direction is not a descent direction for g")
     unclamped = max(0.0, descent) / (L * norm2)
@@ -209,7 +212,9 @@ def run(
     f_star = ref.f_star
     gamma = standard_step_size(epsilon, L, D)
     threshold = epsilon / (4.0 * D)
-    means = noise_mean_stream(noise, n, rng) if n else None
+    # Bound once per run: the loop calls these every iterate.
+    value_and_gradient = obj.value_and_gradient
+    next_mean = noise_mean_stream(noise, n, rng).__next__ if n else None
 
     active = initial_active_set(P)
     records: list[IterationRecord] = []
@@ -226,27 +231,24 @@ def run(
                 raise InvariantViolation("iterate infeasible")
         if collect_active_ids:
             active_ids.append((tuple(np.flatnonzero(active.w).tolist()), x.copy()))
-        f, grad = obj.value_and_gradient(x)
+        f, grad = value_and_gradient(x)
         f_gap = f - f_star
         n_k = len(active)
         lyap = lyapunov(algorithm, f_gap, n_k, consts)
 
+        # Records are built positionally, in IterationRecord's field order
+        # (k, step_type, gamma, gamma_max, n_samples, grad_error, good_event,
+        # f_gap, active_size, lyapunov): cheaper than the keyword call.
         if f_gap <= epsilon or k == max_iter:
-            records.append(
-                IterationRecord(
-                    k=k, step_type=None, gamma=0.0, gamma_max=0.0, n_samples=0,
-                    grad_error=0.0, good_event=True, f_gap=f_gap,
-                    active_size=n_k, lyapunov=lyap,
-                )
-            )
+            records.append(IterationRecord(k, None, 0.0, 0.0, 0, 0.0, True, f_gap, n_k, lyap))
             if f_gap <= epsilon:
                 T_eps = k
             break
 
-        if means is None:
+        if next_mean is None:
             g, grad_error = grad, 0.0
         else:
-            g = grad + next(means)
+            g = grad + next_mean()
             e = g - grad
             grad_error = math.sqrt(e.dot(e))  # np.linalg.norm(e), bit for bit
             total_samples += n
@@ -263,13 +265,10 @@ def run(
                 info = {"step_type": "idle", "gamma": 0.0, "gamma_max": 1.0, "g_vs": 0.0}
             good = grad_error <= eps_g * info["g_vs"]
 
-        records.append(
-            IterationRecord(
-                k=k, step_type=info["step_type"], gamma=info["gamma"],
-                gamma_max=info["gamma_max"], n_samples=n, grad_error=grad_error,
-                good_event=good, f_gap=f_gap, active_size=n_k, lyapunov=lyap,
-            )
-        )
+        records.append(IterationRecord(
+            k, info["step_type"], info["gamma"], info["gamma_max"], n, grad_error, good,
+            f_gap, n_k, lyap,
+        ))
 
     return RunTrace(
         records=records,

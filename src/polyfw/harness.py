@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config_choice, config_float, config_int, config_type, need
-from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, compute_constants
+from .config import config_choice, config_float, config_int, config_number, config_type, need
+from .diagnostics import (
+    STEP_TYPES,
+    AnalysisConstants,
+    IterationRecord,
+    RunTrace,
+    compute_constants,
+)
 from .errors import ConfigError, DegenerateFit, MalformedTrace
 from .frank_wolfe import initial_active_set, run
 from .geometry import polytope_from_json
@@ -183,18 +189,21 @@ def run_cell(cfg: ExperimentConfig, prob: _Problem, eps_index: int, replication:
         cfg.max_iter, rng, ref=prob.ref, consts=prob.consts[eps_index],
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
-    steps = [r for r in trace.records if r.step_type is not None]
-    good_rate = (sum(r.good_event for r in steps) / len(steps)) if steps else 1.0
+    n_steps = good_steps = 0
+    for r in trace.records:
+        if r.step_type is not None:
+            n_steps += 1
+            good_steps += r.good_event
     row = {
         "epsilon": epsilon,
         "replication": replication,
         "T_eps": trace.T_eps if trace.T_eps is not None else -1,
         "total_samples": trace.total_samples,
-        "good_event_rate": good_rate,
+        "good_event_rate": good_steps / n_steps if n_steps else 1.0,
         "final_gap": trace.final_gap,
         "wall_ms": wall_ms,
-        "good_steps": sum(r.good_event for r in steps),
-        "n_steps": len(steps),
+        "good_steps": good_steps,
+        "n_steps": n_steps,
     }
     return row, trace
 
@@ -368,22 +377,55 @@ def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dic
     }
 
 
+def _finite(path: str, value, positive: bool = False) -> None:
+    """A finite JSON number (> 0 when positive): config_float's check on a
+    scalar without its array conversion, which a long trace would pay per
+    field."""
+    if not math.isfinite(config_number(path, value)):
+        raise ConfigError(path, f"must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(path, f"must be > 0, got {value!r}")
+
+
+def _check_record(i: int, rec: IterationRecord) -> None:
+    path = f"record {i}"
+    config_int(f"{path}.k", rec.k, 0)
+    if rec.step_type is not None:
+        config_choice(f"{path}.step_type", rec.step_type, STEP_TYPES)
+    for name in ("gamma", "gamma_max", "grad_error", "f_gap"):
+        _finite(f"{path}.{name}", getattr(rec, name))
+    _finite(f"{path}.lyapunov", rec.lyapunov, positive=True)
+    config_int(f"{path}.n_samples", rec.n_samples, 0)
+    config_type(f"{path}.good_event", rec.good_event, bool)
+    config_int(f"{path}.active_size", rec.active_size, 1)
+
+
 def trace_from_json(data: dict) -> RunTrace:
-    """Rebuild a trace from trace_to_json; a bad record raises MalformedTrace."""
+    """Rebuild a trace from trace_to_json. A missing, unknown or bad record
+    field, or a bad T_eps, total_samples or final_gap, raises MalformedTrace
+    naming it."""
     raw = need(data, "trace", "records")
     if not isinstance(raw, list):
         raise MalformedTrace(f"records must be a list, got {raw!r}")
     records = []
-    for i, rec in enumerate(raw):
-        try:
-            records.append(IterationRecord(**rec))
-        except TypeError as exc:  # names the missing or unknown key
-            raise MalformedTrace(f"record {i}: {exc}") from None
+    try:
+        for i, rec in enumerate(raw):
+            try:
+                records.append(IterationRecord(**rec))
+            except TypeError as exc:  # names the missing or unknown key
+                raise MalformedTrace(f"record {i}: {exc}") from None
+            _check_record(i, records[-1])
+        T_eps = data.get("T_eps")
+        if T_eps is not None:
+            config_int("T_eps", T_eps, 0)
+        total_samples = config_int("total_samples", data.get("total_samples", 0), 0)
+        final_gap = data.get("final_gap", math.nan)
+        if "final_gap" in data:
+            _finite("final_gap", final_gap)
+    except ConfigError as exc:  # a bad value is a malformed trace, not a config error
+        raise MalformedTrace(str(exc)) from None
     return RunTrace(
-        records=records,
-        T_eps=data.get("T_eps"),
-        total_samples=data.get("total_samples", 0),
-        final_gap=data.get("final_gap", float("nan")),
+        records=records, T_eps=T_eps, total_samples=total_samples, final_gap=final_gap
     )
 
 
@@ -412,6 +454,10 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
     return float(slope), r2
+
+
+# Largest trials x d values one concentration cell may draw (80 MB of floats).
+CONCENTRATION_MAX_VALUES = 10**7
 
 
 def concentration_experiment(

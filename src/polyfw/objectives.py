@@ -51,7 +51,7 @@ class QuadraticObjective:
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape != self.z.shape:
             raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dim},)")
         return x
 

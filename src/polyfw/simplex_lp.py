@@ -33,10 +33,13 @@ def _bland_iterate(T, cost, basis, allowed):
             return
         best_ratio = None
         leave = -1
+        # Python floats: the same comparisons and quotient as on numpy
+        # scalars, without an element read per row.
+        column, rhs = T[:, entering].tolist(), T[:, -1].tolist()
         for i in range(m):
-            a = T[i, entering]
+            a = column[i]
             if a > _PIVOT_TOL:
-                ratio = T[i, -1] / a
+                ratio = rhs[i] / a
                 if (
                     best_ratio is None
                     or ratio < best_ratio - _PIVOT_TOL
@@ -51,9 +54,12 @@ def _bland_iterate(T, cost, basis, allowed):
 
 def _pivot(T, cost, basis, row, col):
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0.0:
-            T[i] -= T[i, col] * T[row]
+    pivot_row = T[row]
+    # Each update changes only its own row, so the column read up front
+    # holds the factor every row would read at its turn.
+    for i, a in enumerate(T[:, col].tolist()):
+        if i != row and abs(a) > 0.0:
+            T[i] -= a * pivot_row
     cost -= cost[col] * T[row]
     basis[row] = col
 

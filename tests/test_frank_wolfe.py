@@ -259,6 +259,20 @@ class TestStandardStep:
         assert np.array_equal(a2.w, dense({0: 1.0}))
         np.testing.assert_allclose(a2.point, [0.0, 0.0])
 
+    @pytest.mark.parametrize("P", [unit_simplex(3), unit_box(3)], ids=["simplex", "box"])
+    @pytest.mark.parametrize(
+        "g", [[0.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [0.0, -2.0, -2.0], [-3.0, 0.0, -3.0]],
+        ids=["zero", "equal_first_two", "equal_last_two", "equal_outer_two"],
+    )
+    def test_tied_scores_choose_the_lmo_vertex(self, P, g):
+        # standard_fw_step scans V @ g itself; on tied scores it must still
+        # take the vertex lmo returns (the first minimizer).
+        g = np.array(g)
+        scores = P.vertices.dot(g)
+        assert np.count_nonzero(scores == scores.min()) >= 2
+        _, info = standard_fw_step(initial_active_set(P), g, P, 0.5)
+        assert info["s_id"] == lmo(P, g)[1]
+
 
 class TestAwayStep:
     def test_singleton_takes_fw_branch(self):

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfw.cli import main as cli_main
-from polyfw import harness
+from polyfw import cli, harness
 from polyfw.errors import ConfigError, DegenerateFit, MalformedTrace
 from polyfw.geometry import unit_simplex
 from polyfw.harness import (
+    CONCENTRATION_MAX_VALUES,
     CSV_HEADER,
     ExperimentConfig,
     cell_rng,
@@ -348,10 +349,28 @@ class TestCLI:
         assert trace.T_eps == data["T_eps"]
         assert trace.records[-1].step_type is None
 
+    # damage -> ((record index, or None for the header, key), bad value, message
+    # naming the record and the field).
+    BAD_VALUES = {
+        "f_gap_string": ((0, "f_gap"), "abc", "record 0.f_gap: must be a number, got 'abc'"),
+        "k_string": ((1, "k"), "x", "record 1.k: must be an integer, got 'x'"),
+        "k_negative": ((0, "k"), -1, "record 0.k: must be >= 0"),
+        "T_eps_string": ((None, "T_eps"), "x", "T_eps: must be an integer, got 'x'"),
+        "lyapunov_zero": ((0, "lyapunov"), 0.0, "record 0.lyapunov: must be > 0, got 0.0"),
+        "good_event_string": ((0, "good_event"), "yes", "record 0.good_event: must be true or"),
+        "final_gap_string": ((None, "final_gap"), "x", "final_gap: must be a number, got 'x'"),
+        "step_type_unknown": ((0, "step_type"), "jump", "record 0.step_type: must be one of"),
+        "active_size_zero": ((0, "active_size"), 0, "record 0.active_size: must be >= 1"),
+        "grad_error_nan": ((0, "grad_error"), math.nan, "record 0.grad_error: must be a finite"),
+        "n_samples_fractional": ((0, "n_samples"), 1.5, "record 0.n_samples: must be an integer"),
+        "total_samples_negative": ((None, "total_samples"), -1, "total_samples: must be >= 0"),
+    }
+
     @pytest.mark.parametrize(
-        "damage", ["missing_key", "unknown_key", "not_an_object", "records_not_a_list"]
+        "damage",
+        ["missing_key", "unknown_key", "not_an_object", "records_not_a_list", *BAD_VALUES],
     )
-    def test_verify_malformed_trace_exits_3(self, tmp_path, damage):
+    def test_verify_malformed_trace_exits_3(self, tmp_path, capsys, damage):
         raw = base_config(
             tmp_path / "bad", sampling={"mode": "exact"}, epsilon_grid=[0.1],
             replications=1, save_traces=True,
@@ -359,16 +378,24 @@ class TestCLI:
         run_experiment(ExperimentConfig.from_dict(raw))
         path = tmp_path / "bad" / "trace_e0_r0.json"
         data = json.loads(path.read_text())
+        assert len(data["records"]) >= 2
+        message = None
         if damage == "missing_key":
             del data["records"][0]["lyapunov"]
         elif damage == "unknown_key":
             data["records"][0]["extra"] = 1
         elif damage == "not_an_object":
             data["records"][0] = [1, 2]
-        else:
+        elif damage == "records_not_a_list":
             data["records"] = 5
+        else:
+            (index, key), value, message = self.BAD_VALUES[damage]
+            (data if index is None else data["records"][index])[key] = value
         path.write_text(json.dumps(data))
+        capsys.readouterr()
         assert cli_main(["verify", str(path)]) == 3
+        if message is not None:
+            assert f"error: {message}" in capsys.readouterr().err
 
     def test_records_not_a_list_is_a_malformed_trace(self):
         with pytest.raises(MalformedTrace, match="records must be a list, got 5"):
@@ -420,6 +447,30 @@ class TestCLI:
         poly_path.write_text(json.dumps({"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [1, 1, 1]}))
         assert cli_main(["lmo-check", str(poly_path)]) == 2
         assert "config error: polytope: unbounded" in capsys.readouterr().err
+
+    def test_concentration_trials_above_the_limit_exit_2_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 10^10 trials x d = 8 would be 8e10 values (~600 GB) in one array.
+        monkeypatch.setattr(
+            cli, "concentration_experiment",
+            lambda *a, **k: pytest.fail("drew samples past the trials limit"),
+        )
+        spec = concentration_spec()
+        spec["problem"] = {"polytope": {"preset": "box", "dim": 8}}
+        spec["trials"] = 10**10
+        path = tmp_path / "conc.json"
+        path.write_text(json.dumps(spec))
+        assert cli_main(["concentration", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: trials: 10000000000 trials x d = 8" in captured.err
+        assert str(CONCENTRATION_MAX_VALUES) in captured.err
+        assert captured.out == ""
+        # Exactly at the limit the config is accepted.
+        spec["trials"] = CONCENTRATION_MAX_VALUES // 8
+        path.write_text(json.dumps(spec))
+        monkeypatch.setattr(cli, "concentration_experiment", lambda *a, **k: ([], []))
+        assert cli_main(["concentration", str(path)]) == 0
 
     def test_concentration_command(self, tmp_path):
         path = tmp_path / "conc.json"
