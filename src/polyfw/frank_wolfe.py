@@ -105,28 +105,27 @@ def standard_fw_step(
 def away_fw_step(
     active: ActiveSet, g: np.ndarray, P: Polytope, L: float, scores: np.ndarray | None = None
 ) -> tuple[ActiveSet, dict]:
-    """One away-step Frank-Wolfe update, applied to the given active set in
-    place.
+    """One away-step Frank-Wolfe update, applied to the given active set in place.
 
     Scores every vertex once by g^T u (or takes scores = V @ g from a caller
-    that already has them): the FW vertex s is the first minimizer
-    (as in lmo) and the away vertex v the first active maximizer, so ties
-    break to the smallest id. Picks the better of the two directions (FW on
-    ties), steps by min(gamma_max, -g.d / (L ||d||^2)) and applies the
-    matching weight-update case. The returned info carries the realized
-    vertices and g^T(v - s), which the caller needs for the good-event test.
-    Raises DegenerateDirection, leaving the set unchanged, when the chosen
-    direction is numerically zero.
+    that already has them): the FW vertex s is the first minimizer (as in
+    lmo) and the away vertex v the first maximizer over the active ids
+    w.nonzero(), ascending, so ties break to the smallest id. Picks the
+    better of the two directions (FW on ties), steps by min(gamma_max,
+    -g.d / (L ||d||^2)) and applies the matching weight-update case. The
+    returned info carries the realized vertices and g^T(v - s), which the
+    caller needs for the good-event test. Raises DegenerateDirection, leaving
+    the set unchanged, when the chosen direction is numerically zero.
     """
     V = P.vertices
     x = active.point
     if scores is None:
         scores = V.dot(g)
     s_id = int(scores.argmin())
-    v_id = int(np.where(active.w > 0.0, scores, -np.inf).argmax())
-    s, v, alpha_v = V[s_id], V[v_id], float(active.w[v_id])
-    d_fw = s - x
-    d_away = x - v
+    ids = active.w.nonzero()[0]
+    v_id = int(ids[scores[ids].argmax()])
+    s, v = V[s_id], V[v_id]
+    d_fw, d_away = s - x, x - v
     g_vs = float(g.dot(v - s))  # always >= 0 by optimality of s and v
 
     descent_fw = -float(g.dot(d_fw))
@@ -137,6 +136,7 @@ def away_fw_step(
     else:
         # alpha_v = 1 makes d_away = 0 and -g.d_away = 0 <= -g.d_fw, so the
         # FW branch is taken and this division cannot see alpha_v = 1.
+        alpha_v = float(active.w[v_id])
         if not alpha_v < 1.0:
             raise InvariantViolation("away branch reached with a singleton active set")
         d, gamma_max, descent = d_away, alpha_v / (1.0 - alpha_v), descent_away

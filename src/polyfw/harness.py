@@ -107,7 +107,8 @@ class SummaryStats:
 
     def to_json(self) -> dict:
         return {
-            "per_epsilon": [dataclasses.asdict(p) for p in self.per_epsilon],
+            # Every field is a scalar, so a shallow copy is asdict's deep one.
+            "per_epsilon": [dict(vars(p)) for p in self.per_epsilon],
             "slope": self.slope,
             "r2": self.r2,
             "bound_violations": self.bound_violations,
@@ -342,8 +343,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
             for row in rows:
                 fh.write(_format_row(row) + "\n")
         with open(json_path, "w") as fh:
-            json.dump(summary.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n")
         return summary
     except Exception:
         for path in [csv_path, json_path, *(_trace_path(cfg, i, r) for i, r in cells)]:
@@ -400,10 +400,33 @@ def _check_record(i: int, rec: IterationRecord) -> None:
     config_int(f"{path}.active_size", rec.active_size, 1)
 
 
+def _check_header(records: list[IterationRecord], T_eps, total_samples, final_gap) -> None:
+    """The header against the records, as run writes them: k = 0, 1, 2, ..., a
+    null step_type on the last record only, T_eps (unless null) the last k,
+    final_gap (unless absent) the last f_gap, total_samples the n_samples sum."""
+    if not records:
+        raise MalformedTrace("records: must be nonempty")
+    last = records[-1]
+    for i, rec in enumerate(records):
+        if rec.k != i:
+            raise MalformedTrace(f"record {i}.k: must be {i}, got {rec.k!r}")
+        if (rec.step_type is None) != (rec is last):
+            raise MalformedTrace(f"record {i}.step_type: must be null on the last record "
+                                 f"only, got {rec.step_type!r}")
+    if T_eps is not None and T_eps != last.k:
+        raise MalformedTrace(f"T_eps: must be the last record's k = {last.k!r}, got {T_eps!r}")
+    if not math.isnan(final_gap) and final_gap != last.f_gap:
+        raise MalformedTrace(f"final_gap: must be the last record's f_gap = {last.f_gap!r}, "
+                             f"got {final_gap!r}")
+    if total_samples != sum(rec.n_samples for rec in records):
+        raise MalformedTrace(f"total_samples: must be the sum of the records' n_samples, "
+                             f"got {total_samples!r}")
+
+
 def trace_from_json(data: dict) -> RunTrace:
     """Rebuild a trace from trace_to_json. A missing, unknown or bad record
-    field, or a bad T_eps, total_samples or final_gap, raises MalformedTrace
-    naming it."""
+    field, a bad T_eps, total_samples or final_gap, or a header that
+    disagrees with the records (_check_header) raises MalformedTrace naming it."""
     raw = need(data, "trace", "records")
     if not isinstance(raw, list):
         raise MalformedTrace(f"records must be a list, got {raw!r}")
@@ -424,6 +447,7 @@ def trace_from_json(data: dict) -> RunTrace:
             _finite("final_gap", final_gap)
     except ConfigError as exc:  # a bad value is a malformed trace, not a config error
         raise MalformedTrace(str(exc)) from None
+    _check_header(records, T_eps, total_samples, final_gap)
     return RunTrace(
         records=records, T_eps=T_eps, total_samples=total_samples, final_gap=final_gap
     )

@@ -100,17 +100,17 @@ def reference_solution(
 
     if P.contains(obj.z):
         return ReferenceSolution(x_star=obj.z.copy(), f_star=0.0, certified_gap=0.0)
-    active = initial_active_set(P)
-    V = P.vertices
+    active = initial_active_set(P)  # stepped in place by away_fw_step
+    V, L, value_and_gradient = P.vertices, obj.L, obj.value_and_gradient
     gap = np.inf
     for _ in range(max_iter):
         x = active.point
-        f, g = obj.value_and_gradient(x)
+        f, g = value_and_gradient(x)
         scores = V.dot(g)
         gap = float(g.dot(x) - scores.min())
         if gap <= gap_tol * max(1.0, abs(f)):
             return ReferenceSolution(x_star=x.copy(), f_star=f, certified_gap=gap)
-        active, _ = away_fw_step(active, g, P, obj.L, scores)
+        away_fw_step(active, g, P, L, scores)
     raise NoConvergence(
         f"reference solve hit {max_iter} iterations; gap {gap:.3e}", achieved_gap=gap
     )

@@ -16,8 +16,8 @@ from .errors import MissingParam, NonpositiveDenominator, NonpositiveS
 # distribution N(grad, sigma^2/n I) instead of averaging n draws.
 GAUSSIAN_SHORTCUT_N = 4096
 
-# noise_mean_stream draws O(d)-law means in blocks of 1, 2, 4, ... up to this
-# many, so a short run overdraws little and a long one pays per block.
+# noise_mean_stream draws O(d)-law means in blocks of 8, 16, 32, ... up to this
+# many: a 4-6 step run takes one block, and a long one pays per block.
 MEAN_BLOCK_MAX = 256
 
 # Noise that is averaged draw by draw is drawn and summed at most this many
@@ -133,13 +133,13 @@ def noise_mean_stream(noise: NoiseModel, n: int, rng: np.random.Generator) -> It
     (), rng) calls would return, in the same order, bit for bit.
 
     Means with an O(d) law (rademacher, and gaussian above
-    GAUSSIAN_SHORTCUT_N) are drawn in blocks that double up to
+    GAUSSIAN_SHORTCUT_N) are drawn in blocks that double from 8 up to
     MEAN_BLOCK_MAX, which takes rng past the last mean consumed. Means that
     average n * d draws come one at a time: a block would hold n * d values
     per mean.
     """
     if noise.kind == "rademacher" or (noise.kind == "gaussian" and n > GAUSSIAN_SHORTCUT_N):
-        size = 1
+        size = 8
         while True:
             yield from sample_noise_means(noise, n, (size,), rng)
             size = min(2 * size, MEAN_BLOCK_MAX)

@@ -305,6 +305,30 @@ class TestAwayStep:
         assert np.array_equal(a.w, dense({0: 1.0}))
         np.testing.assert_array_equal(a.point, [0.0, 0.0])
 
+    @pytest.mark.parametrize("P", [unit_simplex(3), unit_box(8)], ids=["simplex3", "box8"])
+    def test_away_vertex_is_the_first_active_maximizer(self, P, rng):
+        # away_fw_step scans only the active ids; it must pick what the
+        # masked scan over all N vertices picks, ties included, and never an
+        # inactive vertex with a higher score.
+        V = P.vertices
+        hidden = 0
+        for trial in range(200):
+            size = int(rng.integers(2, min(len(V), 6) + 1))
+            ids = rng.choice(len(V), size, replace=False)
+            a = ActiveSet(P, dict(zip(ids.tolist(), rng.dirichlet(np.ones(size)).tolist())))
+            g = [
+                np.zeros(P.dim),  # every score tied
+                rng.integers(-1, 2, P.dim).astype(float),  # equal entries
+                np.full(P.dim, rng.choice([-1.0, 1.0])),
+                rng.standard_normal(P.dim),
+            ][trial % 4]
+            w, scores = a.w.copy(), V @ g
+            expected = int(np.where(w > 0, scores, -np.inf).argmax())
+            hidden += scores.max() > scores[expected]
+            _, info = away_fw_step(a, g, P, L=1.0)
+            assert info["v_id"] == expected and w[expected] > 0
+        assert hidden > 0
+
     def test_g_vs_is_nonnegative(self, rng):
         for _ in range(50):
             a = ActiveSet(BOX, {0: 0.3, 1: 0.3, 3: 0.4})

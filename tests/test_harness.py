@@ -365,10 +365,31 @@ class TestCLI:
         "n_samples_fractional": ((0, "n_samples"), 1.5, "record 0.n_samples: must be an integer"),
         "total_samples_negative": ((None, "total_samples"), -1, "total_samples: must be >= 0"),
     }
+    # damage -> (edits, each (record index or None, key, value), message): well-typed
+    # values whose header disagrees with the records. The trace is an exact-gradient one:
+    # every n_samples, and total_samples, is 0.
+    BAD_HEADERS = {
+        # Three edits at once: the first check that fails, on k, is named.
+        "header_edited": ([(None, "T_eps", 1000000), (1, "k", 7), (None, "final_gap", 123.0)],
+                          "record 1.k: must be 1, got 7"),
+        "records_empty": ([(None, "records", [])], "records: must be nonempty"),
+        "k_skips": ([(1, "k", 2)], "record 1.k: must be 1, got 2"),
+        "step_type_null_early": ([(0, "step_type", None)],
+                                 "record 0.step_type: must be null on the last record only"),
+        "step_type_set_last": ([(-1, "step_type", "fw")],
+                               "record {last}.step_type: must be null on the last record only, "
+                               "got 'fw'"),
+        "T_eps_not_last_k": ([(None, "T_eps", 1000000)], "T_eps: must be the last record's k"),
+        "final_gap_not_last": ([(None, "final_gap", 123.0)],
+                               "final_gap: must be the last record's f_gap"),
+        "total_samples_not_sum": ([(None, "total_samples", 5)],
+                                  "total_samples: must be the sum of the records' n_samples"),
+    }
 
     @pytest.mark.parametrize(
         "damage",
-        ["missing_key", "unknown_key", "not_an_object", "records_not_a_list", *BAD_VALUES],
+        ["missing_key", "unknown_key", "not_an_object", "records_not_a_list", *BAD_VALUES,
+         *BAD_HEADERS],
     )
     def test_verify_malformed_trace_exits_3(self, tmp_path, capsys, damage):
         raw = base_config(
@@ -388,6 +409,11 @@ class TestCLI:
             data["records"][0] = [1, 2]
         elif damage == "records_not_a_list":
             data["records"] = 5
+        elif damage in self.BAD_HEADERS:
+            edits, message = self.BAD_HEADERS[damage]
+            message = message.format(last=len(data["records"]) - 1)
+            for index, key, value in edits:
+                (data if index is None else data["records"][index])[key] = value
         else:
             (index, key), value, message = self.BAD_VALUES[damage]
             (data if index is None else data["records"][index])[key] = value

@@ -202,8 +202,8 @@ STREAM_IDS = ["gaussian_shortcut", "gaussian_shortcut_d8", "gaussian_averaged_at
 class TestNoiseMeanStream:
     @pytest.mark.parametrize("noise, n, blocked", STREAM_CASES, ids=STREAM_IDS)
     def test_equals_successive_single_means_bit_for_bit(self, noise, n, blocked):
-        # 600 means cross every block boundary: 1, 3, 7, ..., 511 after the
-        # blocks of 1, 2, 4, ..., 256, then blocks of MEAN_BLOCK_MAX.
+        # 600 means cross every block boundary: 8, 24, 56, ..., 504 after the
+        # blocks of 8, 16, 32, ..., 256, then blocks of MEAN_BLOCK_MAX.
         count = 600 if blocked else 40
         stream = noise_mean_stream(noise, n, np.random.default_rng(31))
         streamed = np.array([next(stream) for _ in range(count)])
@@ -211,6 +211,10 @@ class TestNoiseMeanStream:
         single = np.array([sample_noise_means(noise, n, (), rng) for _ in range(count)])
         assert streamed.shape == single.shape == (count, noise.dim)
         assert streamed.tobytes() == single.tobytes()
+        # A run of 5 steps, shorter than the first block, takes its prefix.
+        stream = noise_mean_stream(noise, n, np.random.default_rng(31))
+        short = np.array([next(stream) for _ in range(5)])
+        assert short.tobytes() == single[:5].tobytes()
 
     @pytest.mark.parametrize("noise, n, blocked", STREAM_CASES, ids=STREAM_IDS)
     def test_blocks_double_only_on_the_o_d_paths(self, noise, n, blocked, monkeypatch):
@@ -226,21 +230,23 @@ class TestNoiseMeanStream:
         for _ in range(600 if blocked else 40):
             next(stream)
         if blocked:
-            assert sizes == [(1,), (2,), (4,), (8,), (16,), (32,), (64,), (128,),
-                             (MEAN_BLOCK_MAX,), (MEAN_BLOCK_MAX,)]
+            assert sizes == [(8,), (16,), (32,), (64,), (128,), (MEAN_BLOCK_MAX,),
+                             (MEAN_BLOCK_MAX,)]
         else:
             # A block of averaged means would hold n * d values per mean.
             assert sizes == [()] * 40
 
     def test_stream_leaves_rng_past_the_last_mean_taken(self):
-        # Five means take blocks of 1, 2 and 4: the rng has drawn seven.
+        # Five means take one block of 8; 9 take blocks of 8 and 16; 300 take
+        # 8, 16, ..., 256, which end at mean 504.
         noise = NoiseModel.rademacher(1.0, 3)
-        rng, ahead = np.random.default_rng(33), np.random.default_rng(33)
-        stream = noise_mean_stream(noise, 100, rng)
-        for _ in range(5):
-            next(stream)
-        sample_noise_means(noise, 100, (7,), ahead)
-        assert rng.random() == ahead.random()
+        for taken, drawn in ((5, 8), (9, 24), (300, 504)):
+            rng, ahead = np.random.default_rng(33), np.random.default_rng(33)
+            stream = noise_mean_stream(noise, 100, rng)
+            for _ in range(taken):
+                next(stream)
+            sample_noise_means(noise, 100, (drawn,), ahead)
+            assert rng.random() == ahead.random()
 
 
 class TestChebyshev:
