@@ -167,14 +167,17 @@ class TraceReport:
 
 
 def verify_trace(trace, consts: AnalysisConstants, kind: str) -> TraceReport:
-    """Check the per-iteration decrease/contraction inequalities on every
-    good pre-stopping iteration of a trace.
+    """Check the stopping rule, and the per-iteration decrease/contraction
+    inequalities on every good pre-stopping iteration of a trace.
 
     standard: f(x_{k+1}) - f(x_k) <= -beta1 * eps + tol
     away, non-drop: gap_{k+1} <= (1 - beta2) * gap_k + tol
     away, drop: gap_{k+1} <= gap_k + 1e-12
-    with tol = 1e-9 * max(1, |gap_k|). Also reports the empirical mean of
-    the Lyapunov ratio over good iterations against exp(-delta).
+    with tol = 1e-9 * max(1, |gap_k|). Stopping: only the last record may
+    have f_gap <= eps, and it does iff T_eps is set; a record that breaks
+    this is a violation with "rule": "stopping" and margin |f_gap - eps|.
+    Also reports the empirical mean of the Lyapunov ratio over good
+    iterations against exp(-delta).
     """
     if kind not in ("standard", "away"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -207,4 +210,9 @@ def verify_trace(trace, consts: AnalysisConstants, kind: str) -> TraceReport:
         report.worst_margin = max(report.worst_margin, margin)
     if ratios:
         report.mean_phi_ratio = sum(ratios) / len(ratios)
+    eps, last = consts.epsilon, len(records) - 1
+    for i, rec in enumerate(records):
+        if (rec.f_gap <= eps) != (i == last and trace.T_eps is not None):
+            report.violations.append({"k": rec.k, "step_type": rec.step_type,
+                                      "margin": abs(rec.f_gap - eps), "rule": "stopping"})
     return report

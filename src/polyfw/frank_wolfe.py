@@ -188,10 +188,10 @@ def run(
     after max_iter steps (T_eps = None). The objective is evaluated once per
     iterate (value and gradient together). Every stepping iteration draws the
     planned number of gradient samples; mode "exact" uses the true gradient.
-    The noise means come from noise_mean_stream, which draws the O(d)-law
-    families in blocks: the estimates equal successive estimate_gradient
-    draws from rng, but a caller that reuses rng after run sees a stream
-    advanced past the run's last step.
+    The noise means come from noise_mean_stream, which draws gaussian and
+    rademacher means from their exact laws in blocks: the estimates equal
+    successive estimate_gradient draws from rng, but a caller that reuses rng
+    after run sees a stream advanced past the run's last step.
     The good-event flag compares the realized gradient error against
     epsilon/(4D) for the standard algorithm and eps_g * g^T(v - s) for the
     away-step algorithm. D, L and eps_g come from consts, which must be

@@ -496,15 +496,10 @@ def concentration_experiment(
     """
     if trials < 10**3:
         raise ValueError("need at least 1000 trials per cell")
-    d = noise.dim
     cells = []
     freq_by_s: dict[float, list[tuple[int, float]]] = {float(s): [] for s in s_grid}
     for n in n_grid:
-        if noise.kind == "gaussian":
-            means = rng.normal(0.0, noise.sigma / math.sqrt(n), (trials, d))
-        else:
-            means = sample_noise_means(noise, n, (trials,), rng)
-        norms = np.linalg.norm(means, axis=1)
+        norms = np.linalg.norm(sample_noise_means(noise, n, (trials,), rng), axis=1)
         for s in s_grid:
             s = float(s)
             freq = float((norms > s).mean())

@@ -12,16 +12,12 @@ import numpy as np
 from .config import config_choice, config_float, config_int, config_type, need
 from .errors import MissingParam, NonpositiveDenominator, NonpositiveS
 
-# Above this size the gaussian sample mean is drawn directly from its exact
-# distribution N(grad, sigma^2/n I) instead of averaging n draws.
-GAUSSIAN_SHORTCUT_N = 4096
-
-# noise_mean_stream draws O(d)-law means in blocks of 8, 16, 32, ... up to this
-# many: a 4-6 step run takes one block, and a long one pays per block.
+# noise_mean_stream draws gaussian and rademacher means in blocks of 8, 16, 32,
+# ... up to this many: a 4-6 step run takes one block, a long one pays per block.
 MEAN_BLOCK_MAX = 256
 
-# Noise that is averaged draw by draw is drawn and summed at most this many
-# values at a time, so one sample mean takes bounded memory at any n.
+# Student-t noise is drawn and summed at most this many values at a time, so
+# one sample mean takes bounded memory at any n.
 DRAW_CHUNK = 2**22
 
 # Student-t means have no closed-form law and cost n * dim draws each; a plan
@@ -96,20 +92,20 @@ def sample_noise_means(
 ) -> np.ndarray:
     """Sample means of n independent noise vectors, shape size + (dim,).
 
-    Rademacher means come from their exact law in O(dim) at any n: the sum
-    of n signs is 2B - n with B ~ Binomial(n, 1/2). Gaussian means above
-    GAUSSIAN_SHORTCUT_N come from N(0, sigma^2/n I). Otherwise the n vectors
-    are drawn and averaged, DRAW_CHUNK values at a time in stream order; a
-    mean that spans several chunks is the sum of its chunk sums over n.
+    Gaussian means come from their exact law N(0, sigma^2/n I) and rademacher
+    ones from scale (2B - n)/n with B ~ Binomial(n, 1/2), O(dim) at any n.
+    Student-t means are averages of n drawn vectors, DRAW_CHUNK values at a
+    time in stream order; one that spans several chunks is the sum of its
+    chunk sums over n.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
     d = noise.dim
     shape = (*size, d)
+    if noise.kind == "gaussian":
+        return rng.normal(0.0, noise.sigma / math.sqrt(n), shape)
     if noise.kind == "rademacher":
         return noise.scale * (2 * rng.binomial(n, 0.5, shape) - n) / n
-    if noise.kind == "gaussian" and n > GAUSSIAN_SHORTCUT_N:
-        return rng.normal(0.0, noise.sigma / math.sqrt(n), shape)
     count = math.prod(size)
     means = np.empty((count, d))
     per_chunk = DRAW_CHUNK // (n * d)
@@ -132,13 +128,12 @@ def noise_mean_stream(noise: NoiseModel, n: int, rng: np.random.Generator) -> It
     """Endless stream of the values successive sample_noise_means(noise, n,
     (), rng) calls would return, in the same order, bit for bit.
 
-    Means with an O(d) law (rademacher, and gaussian above
-    GAUSSIAN_SHORTCUT_N) are drawn in blocks that double from 8 up to
-    MEAN_BLOCK_MAX, which takes rng past the last mean consumed. Means that
-    average n * d draws come one at a time: a block would hold n * d values
-    per mean.
+    Gaussian and rademacher means, O(d) each, are drawn in blocks that
+    double from 8 up to MEAN_BLOCK_MAX, which takes rng past the last mean
+    consumed. Student-t means, which average n * d draws, come one at a
+    time: a block would hold n * d values per mean.
     """
-    if noise.kind == "rademacher" or (noise.kind == "gaussian" and n > GAUSSIAN_SHORTCUT_N):
+    if noise.kind != "student_t":
         size = 8
         while True:
             yield from sample_noise_means(noise, n, (size,), rng)
@@ -150,7 +145,7 @@ def noise_mean_stream(noise: NoiseModel, n: int, rng: np.random.Generator) -> It
 def estimate_gradient(grad, noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample mean of n independent draws grad + noise around the exact
     gradient grad; n = 1 is a single unbiased draw. See sample_noise_means
-    for which noise families cost O(d) and which O(n d)."""
+    for which noise families cost O(d) and which (student-t) O(n d)."""
     return grad + sample_noise_means(noise, n, (), rng)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,10 +166,10 @@ class TestVerifyTrace:
                 record(0, "fw", 2.0, math.exp(2.0)),
                 record(1, None, 1.95, math.exp(1.95)),  # only 0.05 decrease
             ],
-            T_eps=1, total_samples=0, final_gap=1.95,
+            T_eps=None, total_samples=0, final_gap=1.95,
         )
         rep = verify_trace(trace, c, "standard")
-        assert not rep.passed
+        assert not rep.passed and len(rep.violations) == 1
         assert rep.violations[0]["k"] == 0
         assert rep.violations[0]["margin"] == pytest.approx(0.075)
 
@@ -177,13 +178,14 @@ class TestVerifyTrace:
         c = compute_constants(obj, P, 1.0)
         trace = RunTrace(
             records=[
-                record(0, "away_drop", 1.0, math.exp(1.0)),
-                record(1, None, 1.0 + 1e-6, math.exp(1.0 + 1e-6)),
+                record(0, "away_drop", 2.0, math.exp(2.0)),
+                record(1, None, 2.0 + 1e-6, math.exp(2.0 + 1e-6)),
             ],
-            T_eps=1, total_samples=0, final_gap=1.0 + 1e-6,
+            T_eps=None, total_samples=0, final_gap=2.0 + 1e-6,
         )
         rep = verify_trace(trace, c, "away")
-        assert not rep.passed
+        assert not rep.passed and len(rep.violations) == 1
+        assert rep.violations[0]["step_type"] == "away_drop"
 
     def test_bad_iterations_are_skipped(self):
         obj, P = interval_problem()
@@ -193,10 +195,27 @@ class TestVerifyTrace:
                 record(0, "fw", 2.0, math.exp(2.0), good=False),  # no decrease, bad
                 record(1, None, 2.0, math.exp(2.0)),
             ],
-            T_eps=1, total_samples=0, final_gap=2.0,
+            T_eps=None, total_samples=0, final_gap=2.0,
         )
         rep = verify_trace(trace, c, "standard")
         assert rep.passed and rep.checked == 0
+
+    def test_stopping_rule_is_checked_against_epsilon(self):
+        trace, c = self.exact_trace("away", 0.1)
+        gaps = [rec.f_gap for rec in trace.records]
+        last = trace.records[-1].k
+        assert verify_trace(trace, c, "away").passed and len(gaps) >= 3
+
+        def stopping_violations(trace, epsilon):
+            rep = verify_trace(trace, dataclasses.replace(c, epsilon=epsilon), "away")
+            return [v["k"] for v in rep.violations if v.get("rule") == "stopping"]
+
+        # T_eps null although the last record reached epsilon.
+        assert stopping_violations(dataclasses.replace(trace, T_eps=None), 0.1) == [last]
+        # T_eps set although no record reached epsilon.
+        assert stopping_violations(trace, gaps[-1] / 10) == [last]
+        # Records before the last already reached epsilon.
+        assert stopping_violations(trace, gaps[-3]) == [last - 2, last - 1]
 
     def test_malformed_traces(self):
         obj, P = interval_problem()

@@ -24,7 +24,7 @@ from polyfw.frank_wolfe import (
 )
 from polyfw.geometry import Polytope, geometry_constants, lmo, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective, reference_solution
-from polyfw.sampling import GAUSSIAN_SHORTCUT_N, NoiseModel, SamplePlan, sample_noise_means
+from polyfw.sampling import NoiseModel, SamplePlan, sample_noise_means
 
 
 # unit_box(2) vertices in lexicographic order:
@@ -453,7 +453,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "algorithm, noise, n",
         [
-            ("standard", NoiseModel.gaussian(0.2, 3), GAUSSIAN_SHORTCUT_N + 1),
+            ("standard", NoiseModel.gaussian(0.2, 3), 4097),
             ("away", NoiseModel.rademacher(0.3, 3), 5000),
         ],
     )

@@ -4,11 +4,11 @@ Compared are runs.csv without its wall_ms column, summary.json, and the
 SHA-256 of every trace_*.json.
 
 A refactor leaves these outputs unchanged. A change that alters them by
-design regenerates the fixtures with
+design regenerates the fixtures of the configs it changed with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-and says so in CHANGES.md, naming the configs whose outputs changed.
+(no NAME regenerates every fixture) and says so in CHANGES.md, naming them.
 """
 
 import hashlib
@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from polyfw.cli import main as cli_main
 from polyfw.harness import ExperimentConfig, run_experiment
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -94,10 +95,23 @@ def test_outputs_match_golden(name, tmp_path):
             assert text == fh.read(), f"{name}/{fname} differs from its golden fixture"
 
 
-def _regenerate() -> None:
+@pytest.mark.parametrize("name", [n for n in sorted(CONFIGS) if CONFIGS[n].get("save_traces")])
+def test_saved_traces_pass_verify(name, tmp_path):
+    golden_outputs(name, str(tmp_path))
+    paths = sorted(tmp_path.glob("trace_*.json"))
+    assert paths
+    for path in paths:
+        assert cli_main(["verify", str(path)]) == 0, f"{path.name} fails polyfw verify"
+
+
+def _regenerate(names: list[str]) -> None:
     import tempfile
 
-    for name in sorted(CONFIGS):
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"unknown golden config(s) {', '.join(unknown)}; "
+                 f"choose from {', '.join(sorted(CONFIGS))}")
+    for name in sorted(set(names) or CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
             outputs = golden_outputs(name, tmp)
         os.makedirs(os.path.join(GOLDEN_DIR, name), exist_ok=True)
@@ -108,4 +122,4 @@ def _regenerate() -> None:
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1:])

@@ -303,6 +303,25 @@ class TestConcentration:
         (fit,) = [f for f in fits if f["s"] == 0.5]
         assert fit["slope"] < 0.0 and fit["c_fit"] > 0.0
 
+    def test_gaussian_means_are_direct_normal_draws(self, monkeypatch):
+        noise, trials = NoiseModel.gaussian(0.7, 3), 1500
+        n_grid, s_grid = (1, 10, 1000), (0.05, 0.2)
+        drawn = []
+        original = harness.sample_noise_means
+
+        def recording(*args):
+            drawn.append(original(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(harness, "sample_noise_means", recording)
+        cells, _ = concentration_experiment(noise, n_grid, s_grid, trials,
+                                            np.random.default_rng(17))
+        direct = np.random.default_rng(17)
+        expected = [direct.normal(0.0, 0.7 / math.sqrt(n), (trials, 3)) for n in n_grid]
+        assert [m.tobytes() for m in drawn] == [m.tobytes() for m in expected]
+        freqs = [float((np.linalg.norm(m, axis=1) > s).mean()) for m in expected for s in s_grid]
+        assert [c["freq"] for c in cells] == freqs
+
     def test_student_t_respects_chebyshev_too(self, rng):
         noise = NoiseModel.student_t(3, 1.0, 3)
         cells, _ = concentration_experiment(
@@ -422,6 +441,29 @@ class TestCLI:
         assert cli_main(["verify", str(path)]) == 3
         if message is not None:
             assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["T_eps_null", "epsilon_below_last_gap"])
+    def test_verify_stopping_rule_exits_3(self, tmp_path, capsys, edit):
+        raw = base_config(
+            tmp_path / "stop", algorithm="away", sampling={"mode": "exact"},
+            epsilon_grid=[0.1], replications=1, save_traces=True,
+        )
+        run_experiment(ExperimentConfig.from_dict(raw))
+        path = tmp_path / "stop" / "trace_e0_r0.json"
+        data = json.loads(path.read_text())
+        last = data["records"][-1]
+        assert data["T_eps"] == last["k"] == len(data["records"]) - 1
+        assert cli_main(["verify", str(path)]) == 0
+        if edit == "T_eps_null":
+            data["T_eps"] = None  # the last record has f_gap <= epsilon
+        else:
+            data["epsilon"] = last["f_gap"] / 10  # no record reaches epsilon
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["verify", str(path)]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert not report["passed"]
+        assert {"k": last["k"], "rule": "stopping"}.items() <= report["violations"][-1].items()
 
     def test_records_not_a_list_is_a_malformed_trace(self):
         with pytest.raises(MalformedTrace, match="records must be a list, got 5"):

@@ -9,7 +9,6 @@ from polyfw import sampling
 from polyfw.errors import MissingParam, NonpositiveDenominator, NonpositiveS
 from polyfw.objectives import QuadraticObjective
 from polyfw.sampling import (
-    GAUSSIAN_SHORTCUT_N,
     MEAN_BLOCK_MAX,
     NoiseModel,
     SamplePlan,
@@ -90,10 +89,10 @@ class TestEstimator:
         )
         assert abs(errs.mean() - noise.V_g / n) <= 0.1 * noise.V_g / n
 
-    def test_gaussian_shortcut_matches_sampling_distribution(self, rng):
+    def test_gaussian_exact_law_matches_sampling_distribution(self, rng):
         obj = quad3()
         x = np.ones(3)
-        n = GAUSSIAN_SHORTCUT_N + 1
+        n = 1000
         noise = NoiseModel.gaussian(2.0, 3)
         errs = np.array(
             [
@@ -160,6 +159,31 @@ class TestNoiseMeans:
         assert est.shape == (3,)
         assert np.all(np.abs(est - grad) <= 6.0 / math.sqrt(n))
 
+    @pytest.mark.parametrize("d", [3, 8])
+    @pytest.mark.parametrize("n, seed", [(5, 21), (50, 22), (1000, 23)])
+    def test_gaussian_means_match_averaged_draws(self, n, seed, d):
+        rng = np.random.default_rng(seed)
+        noise = NoiseModel.gaussian(0.7, d)
+        trials = 3000
+        exact = sample_noise_means(noise, n, (trials,), rng)
+        averaged = np.array([noise.draw(rng, n).mean(axis=0) for _ in range(trials)])
+        assert exact.shape == averaged.shape == (trials, d)
+        # KS at level 0.001 for two samples of size m, coordinate by coordinate.
+        for j in range(d):
+            assert ks_two_sample(exact[:, j], averaged[:, j]) <= 1.95 * math.sqrt(2.0 / trials)
+
+    def test_gaussian_means_never_draw_n_vectors(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("gaussian means must not draw n vectors")
+
+        monkeypatch.setattr(NoiseModel, "draw", no_draws)
+        noise = NoiseModel.gaussian(0.7, 3)
+        for n in (2, 1000, 4096, 10**12):
+            rng, direct = np.random.default_rng(n), np.random.default_rng(n)
+            means = sample_noise_means(noise, n, (4,), rng)
+            expected = direct.normal(0.0, 0.7 / math.sqrt(n), (4, 3))
+            assert means.tobytes() == expected.tobytes()
+
     def test_chunked_student_t_mean_stays_bounded_and_matches(self, monkeypatch):
         noise = NoiseModel.student_t(5, 0.5, 3)
         n = 1000
@@ -185,17 +209,18 @@ class TestNoiseMeans:
         np.testing.assert_array_equal(split, whole)
 
 
+# Every family but student-t draws its means from their exact law, in blocks.
 STREAM_CASES = [
-    (NoiseModel.gaussian(0.7, 3), GAUSSIAN_SHORTCUT_N + 1, True),
+    (NoiseModel.gaussian(0.7, 3), 4097, True),
     (NoiseModel.gaussian(0.7, 8), 10**6, True),
-    (NoiseModel.gaussian(0.7, 3), GAUSSIAN_SHORTCUT_N, False),
-    (NoiseModel.gaussian(0.7, 3), 1, False),
+    (NoiseModel.gaussian(0.7, 3), 4096, True),
+    (NoiseModel.gaussian(0.7, 3), 1, True),
     (NoiseModel.rademacher(1.3, 3), 1, True),
     (NoiseModel.rademacher(1.3, 8), 27_000, True),
     (NoiseModel.rademacher(1.3, 3), 10**9, True),
     (NoiseModel.student_t(5, 0.5, 3), 7, False),
 ]
-STREAM_IDS = ["gaussian_shortcut", "gaussian_shortcut_d8", "gaussian_averaged_at_cutoff",
+STREAM_IDS = ["gaussian_shortcut", "gaussian_shortcut_d8", "gaussian_n4096",
               "gaussian_n1", "rademacher_n1", "rademacher_d8", "rademacher_huge_n", "student_t"]
 
 
