@@ -22,7 +22,12 @@ class Infeasible(PolyFWError):
 
 
 class Unbounded(PolyFWError):
-    """The LP is unbounded below (modeling error for a bounded polytope)."""
+    """The LP is unbounded below (modeling error for a bounded polytope);
+    `lp` indexes the first unbounded LP of a stack."""
+
+    def __init__(self, message, lp=0):
+        super().__init__(message)
+        self.lp = lp
 
 
 class InfeasiblePoint(PolyFWError):

@@ -33,6 +33,9 @@ SUBSET_CHUNK = 2048
 # Floats per block of the diameter's screen matrix and of its exact pair
 # differences (8 MB).
 PAIR_BLOCK = 2**20
+# Floats that one chunk of stacked d x d bases, or one simplex tableau of
+# prove_bounded, may need (128 MB); a larger polytope is a config error.
+MAX_WORK_FLOATS = 2**24
 # A basis whose |det| is below this share of the product of its row norms
 # (Hadamard's bound) is numerically singular, e.g. a row and a rounded
 # multiple of it: its solve() lands on a spurious point.
@@ -117,18 +120,11 @@ def enumerate_vertices(P: Polytope) -> np.ndarray:
     one stacked solve per chunk. The feasible candidates are put in
     itertools.combinations order of their rows, and a candidate is kept when
     it lies farther than DEDUP_TOL from every candidate kept before it.
-    Desk scale only: more than MAX_SUBSETS d-row subsets, C(m, d), counted
-    whether skipped or not, or an unbounded polytope (proven by linear
-    programs before any solve), raise ConfigError.
+    Desk scale only: a polytope that check_size rejects, or an unbounded
+    one (proven by linear programs before any solve), raises ConfigError.
     """
     A, b, d, m = P.A, P.b, P.dim, P.n_constraints
-    n_subsets = math.comb(m, d)
-    if n_subsets > MAX_SUBSETS:
-        raise ConfigError(
-            "polytope",
-            f"vertex enumeration needs C(m, d) = C({m}, {d}) = {n_subsets} solves, "
-            f"above the cap of {MAX_SUBSETS}",
-        )
+    check_size(m, d)
     prove_bounded(P)
     bases = itertools.chain.from_iterable(
         itertools.starmap(itertools.product, itertools.combinations(parallel_classes(A), d))
@@ -166,6 +162,35 @@ def enumerate_vertices(P: Polytope) -> np.ndarray:
     X = X[np.lexsort(np.concatenate(candidate_rows).T[::-1])]
     V = X[first_kept(X)]
     return V[np.lexsort(V.T[::-1])]
+
+
+def check_size(m: int, d: int) -> None:
+    """Raise ConfigError, naming m and d, unless the vertices of a polytope
+    of m rows in d dimensions are desk-scale work: at most MAX_SUBSETS
+    d-row subsets C(m, d), counted whether skipped or not, and at most
+    MAX_WORK_FLOATS floats in a chunk of stacked d x d bases or in a phase
+    one tableau of prove_bounded. Reads m and d only, so it runs before any
+    matrix is built.
+    """
+    # Past min(d, m - d) = 64, C(m, d) >= C(130, 65) > 10^37: not worth the
+    # big-integer arithmetic.
+    n_subsets = math.comb(m, d) if min(d, m - d) <= 64 else None
+    if n_subsets is None or n_subsets > MAX_SUBSETS:
+        count = "> 10^37" if n_subsets is None else f"= {n_subsets}"
+        raise ConfigError(
+            "polytope",
+            f"vertex enumeration needs C(m, d) = C({m}, {d}) {count} solves, "
+            f"above the cap of {MAX_SUBSETS}",
+        )
+    chunk = min(SUBSET_CHUNK, n_subsets) * d * d
+    tableau = (m + 1) * (2 * d + 2 * m + 1)  # one artificial per row at most
+    if max(chunk, tableau) > MAX_WORK_FLOATS:
+        raise ConfigError(
+            "polytope",
+            f"vertex enumeration with m = {m} rows in d = {d} dimensions needs "
+            f"{chunk} floats per chunk of d x d bases and {tableau} per simplex "
+            f"tableau, above the cap of {MAX_WORK_FLOATS}",
+        )
 
 
 def parallel_classes(A: np.ndarray) -> list[tuple[int, ...]]:
@@ -210,36 +235,42 @@ def first_kept(X: np.ndarray) -> np.ndarray:
 
 def prove_bounded(P: Polytope) -> None:
     """Prove {Ax <= b} bounded by minimizing and maximizing every coordinate
-    with the simplex method (at most 2d linear programs).
+    with the simplex method (at most 2d linear programs, solved as one
+    stack).
 
     A row of A that is nonzero only at coordinate i, a x_i <= b, bounds x_i
     above when a > 0 and below when a < 0: it is the dual certificate of
     that direction, whose LP is skipped (the box needs none). An unbounded
-    coordinate raises ConfigError naming the direction of the ray; an empty
-    polytope raises UnboundedOrEmpty, here from the first LP or, when every
-    direction has such a row, from the enumeration that finds no vertex.
+    coordinate raises ConfigError naming the direction of the ray, the first
+    in order (x_0 below, x_0 above, x_1 below, ...) when several are; an
+    empty polytope raises UnboundedOrEmpty, here from the shared phase one
+    or, when every direction has such a row, from the enumeration that finds
+    no vertex.
     """
     axis_rows = P.A[np.count_nonzero(P.A, axis=1) == 1]
     cols = axis_rows.nonzero()[1]
     # (i, s) for each LP, minimize s * x_i, that a row certifies: s = -sign(a).
     signs = -np.sign(axis_rows[np.arange(len(cols)), cols])
     certified = set(zip(cols.tolist(), signs.tolist()))
-    for i in range(P.dim):
-        for sign, bound, ray in ((1.0, "below", "-"), (-1.0, "above", "+")):
-            if (i, sign) in certified:
-                continue
-            c = np.zeros(P.dim)
-            c[i] = sign
-            try:
-                simplex_lp.solve_lp(c, P.A, P.b)
-            except Unbounded:
-                raise ConfigError(
-                    "polytope",
-                    f"unbounded: x[{i}] is not bounded {bound} (the polytope contains a ray "
-                    f"along {ray}e_{i})",
-                ) from None
-            except Infeasible as exc:
-                raise UnboundedOrEmpty(f"the polytope is empty ({exc})") from None
+    # The uncertified directions in order, i ascending and s = 1 before -1.
+    todo = [(i, s) for i in range(P.dim) for s in (1.0, -1.0) if (i, s) not in certified]
+    if not todo:
+        return
+    costs = np.zeros((len(todo), P.dim))
+    for row, (i, sign) in enumerate(todo):
+        costs[row, i] = sign
+    try:
+        simplex_lp.solve_lp(costs, P.A, P.b)
+    except Unbounded as exc:
+        i, sign = todo[exc.lp]
+        bound, ray = ("below", "-") if sign > 0 else ("above", "+")
+        raise ConfigError(
+            "polytope",
+            f"unbounded: x[{i}] is not bounded {bound} (the polytope contains a ray "
+            f"along {ray}e_{i})",
+        ) from None
+    except Infeasible as exc:
+        raise UnboundedOrEmpty(f"the polytope is empty ({exc})") from None
 
 
 def lmo(P: Polytope, g) -> tuple[np.ndarray, int]:
@@ -362,17 +393,19 @@ def unit_simplex(dim: int, scale: float = 1.0) -> Polytope:
     return Polytope(A, b)
 
 
-def probability_simplex(dim: int) -> Polytope:
-    """{x >= 0, 1^T x = 1} encoded with the pair 1^T x <= 1, -1^T x <= -1."""
+def probability_simplex(dim: int, scale: float = 1.0) -> Polytope:
+    """{x >= 0, 1^T x = scale} encoded with the pair 1^T x <= scale,
+    -1^T x <= -scale; vertices are scale*e_i."""
     A = np.vstack([-np.eye(dim), np.ones((1, dim)), -np.ones((1, dim))])
-    b = np.concatenate([np.zeros(dim), [1.0], [-1.0]])
+    b = np.concatenate([np.zeros(dim), [float(scale)], [-float(scale)]])
     return Polytope(A, b)
 
 
+# Each preset's builder and its number of rows in dimension d.
 _PRESETS = {
-    "box": unit_box,
-    "simplex": unit_simplex,
-    "probability_simplex": lambda dim, scale=1.0: probability_simplex(dim),
+    "box": (unit_box, lambda d: 2 * d),
+    "simplex": (unit_simplex, lambda d: d + 1),
+    "probability_simplex": (probability_simplex, lambda d: d + 2),
 }
 
 
@@ -383,7 +416,9 @@ def polytope_from_json(spec: dict) -> Polytope:
         name = config_choice("polytope.preset", spec["preset"], _PRESETS)
         dim = config_int("polytope.dim", need(spec, "polytope", "dim"), 1)
         scale = config_float("polytope.scale", spec.get("scale", 1.0), 0, above=True)
-        return _PRESETS[name](dim, scale)
+        build, rows = _PRESETS[name]
+        check_size(rows(dim), dim)
+        return build(dim, scale)
     A = config_float("polytope.A", need(spec, "polytope", "A"), ndim=2)
     b = config_float("polytope.b", need(spec, "polytope", "b"), ndim=1)
     if len(A) != len(b):

@@ -270,16 +270,17 @@ class TestBoundednessAndCap:
         ids=["box8", "simplex3", "rotated_box4"],
     )
     def test_axis_rows_replace_their_lps(self, monkeypatch, P, lps, n_vertices):
-        calls = []
+        stacks = []
 
-        def counted(*args):
-            calls.append(args[0])
-            return solve_lp(*args)
+        def counted(c, *args):
+            stacks.append(np.atleast_2d(c))
+            return solve_lp(c, *args)
 
         solve_lp = simplex_lp.solve_lp
         monkeypatch.setattr(simplex_lp, "solve_lp", counted)
         geometry.prove_bounded(P)
-        assert len(calls) == lps
+        # The LPs are the rows of the stacked cost vectors.
+        assert sum(len(c) for c in stacks) == lps
         assert len(enumerate_vertices(P)) == n_vertices
 
     def test_subset_cap_fails_before_any_work(self, monkeypatch):
@@ -293,6 +294,52 @@ class TestBoundednessAndCap:
         with pytest.raises(ConfigError, match=r"C\(32, 16\) = 601080390"):
             enumerate_vertices(unit_box(16))
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # C(3001, 3000) = 3001 subsets, but each of them a 3000 x 3000 system.
+            ({"preset": "simplex", "dim": 3000}, "m = 3001 rows in d = 3000 dimensions"),
+            ({"preset": "box", "dim": 10**7}, "C(20000000, 10000000) > 10^37"),
+            ({"preset": "box", "dim": 12}, "C(24, 12) = 2704156"),
+            ({"preset": "probability_simplex", "dim": 91}, "m = 93 rows in d = 91 dimensions"),
+        ],
+        ids=["simplex3000", "box1e7", "box12", "probability_simplex91"],
+    )
+    def test_oversized_presets_fail_before_any_matrix(self, monkeypatch, spec, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a preset started work above the cap")
+
+        monkeypatch.setattr(np, "eye", no_work)
+        monkeypatch.setattr(simplex_lp, "solve_lp", no_work)
+        monkeypatch.setattr(np.linalg, "slogdet", no_work)
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            polytope_from_json(spec)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "m, d", [(22, 11), (256, 255), (92, 90)],
+        ids=["box11", "simplex255", "probability_simplex90"],
+    )
+    def test_largest_accepted_presets(self, m, d):
+        geometry.check_size(m, d)
+        # The same preset one dimension up: 2d, d + 1 and d + 2 rows.
+        with pytest.raises(ConfigError, match="above the cap"):
+            geometry.check_size(m + m // d, d + 1)
+
+
+class TestPresets:
+    def test_probability_simplex_honours_scale(self):
+        P = polytope_from_json({"preset": "probability_simplex", "dim": 3, "scale": 2.0})
+        assert np.array_equal(P.b, [0.0, 0.0, 0.0, 2.0, -2.0])
+        # Lexicographic order: 2 e_3, 2 e_2, 2 e_1.
+        assert np.array_equal(P.vertices, 2.0 * np.eye(3)[::-1])
+
+    def test_probability_simplex_default_scale_is_one(self):
+        P = polytope_from_json({"preset": "probability_simplex", "dim": 4})
+        assert P.b.tobytes() == probability_simplex(4, 1.0).b.tobytes()
+        assert np.array_equal(P.vertices, np.eye(4)[::-1])
 
 
 class TestLMO:

@@ -13,9 +13,16 @@ the path, and reads its outputs with the change checkout's
 One table row per config and seed says whether T_eps, total_samples and
 good_event_rate are identical in every row of runs.csv, gives the largest
 relative final_gap difference, and whether the outputs are byte-identical
-(runs.csv without wall_ms, summary.json and every trace file). The exit
-status is 1 when a row breaks the rule: those three columns identical and
-final_gap within 1e-12 relative.
+(runs.csv without wall_ms, summary.json and every trace file).
+
+The checking path gets a second table: at BENCH_SEEDS, each side builds the
+inputs of the `audit` workload with `workloads.Workload`, runs its round
+(the experiment, then `verify` on three traces, `lmo-check` and
+`concentration`), and one row per CLI call says whether its exit code and
+standard output are byte-identical.
+
+The exit status is 1 when a run row breaks the rule (those three columns
+identical and final_gap within 1e-12 relative) or a CLI row differs.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ GOLDEN_SEEDS = (71, 72, 73)
 BENCH_SEEDS = (1, 2, 3)
 
 
+CLI_WORKLOAD = "audit"
+
+
 def configs(change: str) -> list[list]:
     """[label, seed, raw config] for every compared run, from the change checkout."""
     for sub in ("src", "tests", "benchmark"):
@@ -46,14 +56,16 @@ def configs(change: str) -> list[list]:
     return out
 
 
-def run_side(checkout: str, change: str, runs: list[list]) -> list[dict]:
-    """Outputs of every run on one side, computed in a fresh process."""
+def run_side(checkout: str, change: str, runs: list[list]) -> dict:
+    """Outputs of every run and of the CLI rounds on one side, computed in a
+    fresh process."""
     src = os.path.join(checkout, "src")
     env = {**os.environ, "PYTHONPATH": src}
+    job = {"tests": os.path.join(change, "tests"), "benchmark": os.path.join(change, "benchmark"),
+           "runs": runs, "cli_seeds": BENCH_SEEDS}
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--side", src],
-        input=json.dumps({"tests": os.path.join(change, "tests"), "runs": runs}),
-        env=env, cwd=checkout, capture_output=True, text=True,
+        input=json.dumps(job), env=env, cwd=checkout, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         sys.exit(f"golden_compare: {checkout} failed:\n{proc.stderr}")
@@ -61,21 +73,27 @@ def run_side(checkout: str, change: str, runs: list[list]) -> list[dict]:
 
 
 def side_main(src: str) -> None:
-    """Run the configs read from stdin with the polyfw under src; print outputs."""
+    """Run the configs and the CLI rounds read from stdin with the polyfw
+    under src; print their outputs."""
     job = json.load(sys.stdin)
-    sys.path.append(job["tests"])
+    sys.path += [job["tests"], job["benchmark"]]
     import polyfw
     import test_golden
+    import workloads
     from polyfw.harness import ExperimentConfig, run_experiment
 
     if not os.path.abspath(polyfw.__file__).startswith(os.path.abspath(src)):
         sys.exit(f"polyfw imported from {polyfw.__file__}, not from {src}")
-    results = []
+    runs = []
     for _, _, raw in job["runs"]:
         with tempfile.TemporaryDirectory() as tmp:
             run_experiment(ExperimentConfig.from_dict({**raw, "output_dir": tmp}))
-            results.append(test_golden.read_outputs(tmp))
-    json.dump(results, sys.stdout)
+            runs.append(test_golden.read_outputs(tmp))
+    cli = []
+    for seed in job["cli_seeds"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            cli.append(workloads.Workload(CLI_WORKLOAD, seed, tmp).run_round()["cli"])
+    json.dump({"runs": runs, "cli": cli}, sys.stdout)
 
 
 def compare(parent: dict, change: dict) -> tuple[bool, float, bool]:
@@ -112,7 +130,7 @@ def main() -> int:
           "| max rel. final_gap diff | byte-identical |")
     print("| --- | --- | --- | --- | --- | --- |")
     ok = True
-    for (name, seed, _), p, c in zip(runs, p_out, c_out):
+    for (name, seed, _), p, c in zip(runs, p_out["runs"], c_out["runs"]):
         same, worst, identical = compare(p, c)
         ok = ok and same and worst <= GAP_RTOL
         rows = len(c["runs.csv"].splitlines()) - 1
@@ -120,7 +138,18 @@ def main() -> int:
               f"| {worst:.2e} | {'yes' if identical else 'no'} |")
     print(f"rule (identical columns, final_gap within {GAP_RTOL:g} relative): "
           f"{'holds' if ok else 'BROKEN'}")
-    return 0 if ok else 1
+    print()
+    print("| workload | seed | command | exit codes | stdout byte-identical |")
+    print("| --- | --- | --- | --- | --- |")
+    cli_ok = True
+    for seed, p_round, c_round in zip(BENCH_SEEDS, p_out["cli"], c_out["cli"]):
+        for (command, p_code, p_text), (_, c_code, c_text) in zip(p_round, c_round):
+            cli_ok = cli_ok and p_code == c_code and p_text == c_text
+            print(f"| {CLI_WORKLOAD} | {seed} | {command} | {p_code}, {c_code} "
+                  f"| {'yes' if p_text == c_text else 'no'} |")
+    cli_ok = cli_ok and [len(r) for r in p_out["cli"]] == [len(r) for r in c_out["cli"]]
+    print(f"CLI outputs: {'identical' if cli_ok else 'DIFFER'}")
+    return 0 if ok and cli_ok else 1
 
 
 if __name__ == "__main__":
