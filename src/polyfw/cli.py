@@ -26,7 +26,7 @@ from .harness import (
     trace_from_json,
 )
 from .objectives import objective_from_json
-from .sampling import STUDENT_T_MAX_DRAWS, noise_from_json
+from .sampling import BINOMIAL_MAX_N, STUDENT_T_MAX_DRAWS, noise_from_json
 
 
 def _load_json(path: str) -> dict:
@@ -79,7 +79,10 @@ def cmd_concentration(args) -> int:
     noise = noise_from_json(need(spec, "", "noise"), P.dim)
     rng = np.random.default_rng(config_int("seed", spec.get("seed", 0), 0))
     trials = config_int("trials", spec.get("trials", 10**4), 1000)
-    n_grid = config_float("n_grid", need(spec, "", "n_grid"), 1, ndim=1).tolist()
+    # Read element by element, not through floats: n above 2**53 stays exact.
+    n_grid = need(spec, "", "n_grid")
+    if type(n_grid) is not list or not n_grid:
+        raise ConfigError("n_grid", f"must be a nonempty 1-d array of numbers, got {n_grid!r}")
     n_grid = [config_int("n_grid", n, 1) for n in n_grid]
     s_grid = config_float("s_grid", need(spec, "", "s_grid"), 0, above=True, ndim=1).tolist()
     if trials * P.dim > CONCENTRATION_MAX_VALUES:
@@ -88,6 +91,9 @@ def cmd_concentration(args) -> int:
     if noise.kind == "student_t" and trials * max(n_grid) * P.dim > STUDENT_T_MAX_DRAWS:
         raise ConfigError("n_grid", f"a student_t cell at n = {max(n_grid)} draws over "
                           f"{STUDENT_T_MAX_DRAWS} values")
+    if noise.kind == "rademacher" and max(n_grid) > BINOMIAL_MAX_N:
+        raise ConfigError("n_grid", f"rademacher noise at n = {max(n_grid)} is above the "
+                          f"largest binomial n, {BINOMIAL_MAX_N}")
     cells, fits = concentration_experiment(noise, n_grid, s_grid, trials, rng)
     print(json.dumps({"cells": cells, "fits": fits}, indent=2, sort_keys=True))
     return 3 if any(c["violation"] for c in cells) else 0

@@ -26,6 +26,7 @@ from .frank_wolfe import initial_active_set, run
 from .geometry import polytope_from_json
 from .objectives import objective_from_json, reference_solution
 from .sampling import (
+    BINOMIAL_MAX_N,
     STUDENT_T_MAX_DRAWS,
     NoiseModel,
     SamplePlan,
@@ -139,8 +140,9 @@ def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstant
     Problem-derived params (V_g, D, N, omega, M, beta coefficients, the
     theoretical p_g lower bound, c1) are auto-filled; anything given
     explicitly in the config overrides the auto-filled value. A p_g that
-    rounds to 1 under a bounded-variance mode, and a student_t plan above
-    STUDENT_T_MAX_DRAWS values per estimate, raise ConfigError.
+    rounds to 1 under a bounded-variance mode, a student_t plan above
+    STUDENT_T_MAX_DRAWS values per estimate, and a rademacher n above
+    BINOMIAL_MAX_N raise ConfigError.
     """
     plan = plan_from_json(cfg.sampling)
     if plan.mode not in ("exact", "fixed"):
@@ -171,6 +173,10 @@ def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstant
         raise ConfigError("sampling", f"student_t noise needs n = {n} draws per estimate at "
                           f"epsilon = {consts.epsilon}, {n * prob.P.dim} values, above the budget "
                           f"of {STUDENT_T_MAX_DRAWS}")
+    if prob.noise.kind == "rademacher" and n > BINOMIAL_MAX_N:
+        raise ConfigError("sampling.n" if plan.mode == "fixed" else "sampling",
+                          f"rademacher noise needs n = {n} at epsilon = {consts.epsilon}, above "
+                          f"the largest binomial n, {BINOMIAL_MAX_N}")
     return plan
 
 

@@ -24,6 +24,10 @@ DRAW_CHUNK = 2**22
 # that asks for more values than this per estimate is a config error.
 STUDENT_T_MAX_DRAWS = 10**8
 
+# Largest n Generator.binomial takes (its n is a C long); a rademacher plan
+# above it is a config error.
+BINOMIAL_MAX_N = 2**63 - 1
+
 NOISE_KINDS = ("gaussian", "student_t", "rademacher")
 
 PLAN_MODES = (
@@ -94,9 +98,11 @@ def sample_noise_means(
 
     Gaussian means come from their exact law N(0, sigma^2/n I) and rademacher
     ones from scale (2B - n)/n with B ~ Binomial(n, 1/2), O(dim) at any n.
-    Student-t means are averages of n drawn vectors, DRAW_CHUNK values at a
-    time in stream order; one that spans several chunks is the sum of its
-    chunk sums over n.
+    At n <= 64, B is the number of ones in the low n bits of one full-range
+    64-bit word (one generator output per value); above, it is drawn with
+    rng.binomial, which takes n up to BINOMIAL_MAX_N. Student-t means are
+    averages of n drawn vectors, DRAW_CHUNK values at a time in stream
+    order; one that spans several chunks is the sum of its chunk sums over n.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
@@ -105,6 +111,14 @@ def sample_noise_means(
     if noise.kind == "gaussian":
         return rng.normal(0.0, noise.sigma / math.sqrt(n), shape)
     if noise.kind == "rademacher":
+        if n <= 64:
+            # The mask comes from a Python int: an np.int64 shift overflows at 64.
+            low_bits = np.uint64((1 << int(n)) - 1)
+            heads = np.bitwise_count(
+                rng.integers(0, 2**64 - 1, shape, dtype=np.uint64, endpoint=True) & low_bits
+            )
+            # heads is uint8, so 2 * heads - n would wrap; 2.0 makes it float.
+            return noise.scale * (2.0 * heads - n) / n
         return noise.scale * (2 * rng.binomial(n, 0.5, shape) - n) / n
     count = math.prod(size)
     means = np.empty((count, d))

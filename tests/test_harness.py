@@ -329,6 +329,17 @@ class TestConcentration:
         )
         assert all(not c["violation"] for c in cells)
 
+    def test_rademacher_respects_chebyshev(self, rng):
+        # n <= 64 counts bits of one word per coordinate; the tails must
+        # still sit under Chebyshev and fall with n.
+        noise = NoiseModel.rademacher(1.0, 3)
+        cells, fits = concentration_experiment(
+            noise, n_grid=(2, 4, 8, 16), s_grid=(0.5,), trials=4000, rng=rng
+        )
+        assert all(not c["violation"] for c in cells)
+        (fit,) = [f for f in fits if f["s"] == 0.5]
+        assert fit["slope"] < 0.0 and fit["c_fit"] > 0.0
+
     def test_requires_enough_trials(self, rng):
         with pytest.raises(ValueError):
             concentration_experiment(NoiseModel.gaussian(1.0, 3), (5,), (1.0,), 10, rng)
@@ -545,6 +556,14 @@ class TestCLI:
         path.write_text(json.dumps(concentration_spec()))
         assert cli_main(["concentration", str(path)]) == 0
 
+    def test_concentration_takes_the_largest_binomial_n_exactly(self, tmp_path):
+        # Read through floats, 2**63 - 1 would round up to 2**63 and be refused.
+        spec = concentration_spec()
+        spec.update(noise={"kind": "rademacher", "scale": 1.0}, n_grid=[4, 2**63 - 1])
+        path = tmp_path / "conc.json"
+        path.write_text(json.dumps(spec))
+        assert cli_main(["concentration", str(path)]) == 0
+
     @pytest.mark.parametrize(
         "override, field",
         [
@@ -565,10 +584,18 @@ class TestCLI:
             # 1500 trials x 40,000 draws x d = 2 is 1.2e8 values: just over the budget.
             ({"noise": {"kind": "student_t", "dof": 5, "scale": 1.0}, "n_grid": [10, 40000]},
              "n_grid: a student_t cell at n = 40000 draws over"),
+            # Generator.binomial takes n up to 2**63 - 1; 1e20 used to raise OverflowError.
+            ({"noise": {"kind": "rademacher", "scale": 1.0}, "n_grid": [4, 1e20]},
+             "n_grid: rademacher noise at n = 100000000000000000000 is above"),
+            ({"noise": {"kind": "rademacher", "scale": 1.0}, "n_grid": [4, 10**20]},
+             "n_grid: rademacher noise at n = 100000000000000000000 is above"),
+            ({"noise": {"kind": "rademacher", "scale": 1.0}, "n_grid": [2**63]},
+             "n_grid: rademacher noise at n = 9223372036854775808 is above"),
         ],
         ids=["fractional_seed", "negative_seed", "few_trials", "fractional_trials", "zero_n",
              "fractional_n", "string_n_grid", "missing_n_grid", "nan_s", "zero_s",
-             "string_noise", "missing_problem", "student_t_huge_n", "student_t_over_budget"],
+             "string_noise", "missing_problem", "student_t_huge_n", "student_t_over_budget",
+             "rademacher_huge_n", "rademacher_huge_int_n", "rademacher_one_above"],
     )
     def test_concentration_bad_spec_exits_2(self, tmp_path, capsys, override, field):
         spec = concentration_spec()
@@ -797,6 +824,22 @@ class TestCLI:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", str(path)]) == 2
         assert "n = 197792169" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, code", [(2**63 - 1, 0), (2**63, 2), (10**20, 2)],
+                             ids=["largest", "one_above", "1e20"])
+    def test_rademacher_n_above_the_binomial_range_exits_2_naming_n(self, tmp_path, capsys,
+                                                                    n, code):
+        raw = base_config(
+            tmp_path / "out", epsilon_grid=[0.01], replications=1,
+            noise={"kind": "rademacher", "scale": 1.0}, sampling={"mode": "fixed", "n": n},
+        )
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == code
+        if code == 2:
+            assert f"config error: sampling.n: rademacher noise needs n = {n}" in (
+                capsys.readouterr().err
+            )
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -121,7 +121,9 @@ def ks_two_sample(a, b) -> float:
 
 
 class TestNoiseMeans:
-    @pytest.mark.parametrize("n, seed", [(5, 11), (50, 12), (500, 13)])
+    @pytest.mark.parametrize(
+        "n, seed", [(1, 14), (2, 15), (5, 11), (50, 12), (63, 16), (64, 17), (500, 13)]
+    )
     def test_binomial_rademacher_means_match_direct_draws(self, n, seed):
         rng = np.random.default_rng(seed)
         noise = NoiseModel.rademacher(1.3, 3)
@@ -142,6 +144,29 @@ class TestNoiseMeans:
         m = binomial.size
         stat = ks_two_sample(sign_count(binomial), sign_count(direct))
         assert stat <= 1.95 * math.sqrt(2.0 / m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 33, 63, 64])
+    def test_small_n_rademacher_means_count_the_low_bits_of_one_word(self, n):
+        noise = NoiseModel.rademacher(1.3, 4)
+        means = sample_noise_means(noise, n, (1000,), np.random.default_rng(n))
+        # Each mean is scale * (2k - n) / n: a uint8 count that wrapped in
+        # 2k - n would land far outside [-scale, scale].
+        assert np.all(np.abs(means) <= noise.scale)
+        k = np.round((means / noise.scale * n + n) / 2)
+        assert means.tobytes() == (noise.scale * (2.0 * k - n) / n).tobytes()
+        # k is the number of ones among the low n bits of one generator word.
+        words = np.random.default_rng(n).bit_generator.random_raw((1000, 4))
+        assert k.tolist() == [[bin(int(w) & ((1 << n) - 1)).count("1") for w in row]
+                              for row in words]
+
+    @pytest.mark.parametrize("n", [65, 27_000])
+    def test_large_n_rademacher_means_are_the_binomial_stream(self, n):
+        # away-subgauss and the golden away-rademacher run draw here.
+        noise, shape = NoiseModel.rademacher(1.3, 8), (100, 8)
+        means = sample_noise_means(noise, n, (100,), np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        expected = noise.scale * (2 * rng.binomial(n, 0.5, shape) - n) / n
+        assert means.tobytes() == expected.tobytes()
 
     def test_rademacher_estimate_at_huge_n_is_o_d(self, rng, monkeypatch):
         # n of the bounded_variance_away plan for Rademacher noise at
@@ -216,12 +241,14 @@ STREAM_CASES = [
     (NoiseModel.gaussian(0.7, 3), 4096, True),
     (NoiseModel.gaussian(0.7, 3), 1, True),
     (NoiseModel.rademacher(1.3, 3), 1, True),
+    (NoiseModel.rademacher(1.3, 8), 64, True),
     (NoiseModel.rademacher(1.3, 8), 27_000, True),
     (NoiseModel.rademacher(1.3, 3), 10**9, True),
     (NoiseModel.student_t(5, 0.5, 3), 7, False),
 ]
 STREAM_IDS = ["gaussian_shortcut", "gaussian_shortcut_d8", "gaussian_n4096",
-              "gaussian_n1", "rademacher_n1", "rademacher_d8", "rademacher_huge_n", "student_t"]
+              "gaussian_n1", "rademacher_n1", "rademacher_n64_d8", "rademacher_d8",
+              "rademacher_huge_n", "student_t"]
 
 
 class TestNoiseMeanStream:

@@ -10,6 +10,9 @@ every run's end-to-end metrics and raw seconds, and, per metric, both sides'
 medians and quartiles, the change/parent ratio of the medians and the number
 of pairs the change won (lower is better for every metric). With
 `--traced-seed`, one `--trace 1` run per side adds the per-layer metrics.
+A run that exits non-zero, reports `correct: false` or has failed
+operations stops the script (exit 1) with its workload, seed, side and
+stderr tail; nothing is written.
 Running it again with another workload adds that workload to the same file.
 """
 
@@ -27,13 +30,26 @@ END_TO_END = ("wall_s", "iter_us", "setup_s", "peak_rss_mb")
 RAW = ("raw_wall_s", "raw_iter_us", "raw_setup_s")
 
 
-def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run: its result's metrics, correctness fields and raw seconds."""
+def fail(side: str, workload: str, seed: int, what: str, stderr: str) -> None:
+    """Stop the record: a failed run must not enter it as a timing."""
+    tail = "\n".join(stderr.strip().splitlines()[-20:])
+    sys.exit(f"{workload} seed {seed}, {side}: {what}\n--- stderr tail ---\n{tail}")
+
+
+def run(side: str, checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run: its result's metrics, correctness fields and raw seconds.
+    A run that exits non-zero, is not correct or has failed operations stops
+    the script with its stderr tail."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        fail(side, workload, seed, f"exit code {proc.returncode}", proc.stderr)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
+    if result["correct"] is not True or result["failed"] > 0:
+        fail(side, workload, seed,
+             f"correct {result['correct']}, {result['failed']} failed", proc.stderr)
     out = {k: v["value"] for k, v in result["metrics"].items()}
     out.update({k: result[k] for k in ("correct", "attempted", "failed")})
     # The line before the summary line: raw seconds, or with --trace 1 the
@@ -77,7 +93,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run(sides[side], args.workload, seed, args.seconds, 0)
+            pair[side] = run(side, sides[side], args.workload, seed, args.seconds, 0)
         pairs.append(pair)
         print(f"{args.workload} seed {seed}: " + ", ".join(
             f"{s} wall_s {pair[s]['wall_s']:.3f}" for s in order), flush=True)
@@ -96,7 +112,8 @@ def main(argv=None) -> int:
     if args.traced_seed is not None:
         record.setdefault("traced", {})[args.workload] = {
             "seed": args.traced_seed,
-            **{s: run(sides[s], args.workload, args.traced_seed, args.seconds, 1) for s in sides},
+            **{s: run(s, sides[s], args.workload, args.traced_seed, args.seconds, 1)
+               for s in sides},
         }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
