@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import simplex_lp
-from .config import config_choice, config_float, config_int, config_number, config_type, need
+from .config import (config_choice, config_fields, config_float, config_int, config_number,
+                     config_type, need)
 from .diagnostics import compute_constants, verify_trace
 from .errors import ConfigError, PolyFWError
 from .geometry import lmo, polytope_from_json
@@ -74,7 +75,8 @@ def cmd_lmo_check(args) -> int:
 
 
 def cmd_concentration(args) -> int:
-    spec = _load_json(args.config)
+    spec = config_fields("", _load_json(args.config),
+                         ("problem", "noise", "seed", "trials", "n_grid", "s_grid"))
     P = polytope_from_json(need(need(spec, "", "problem"), "problem", "polytope"))
     noise = noise_from_json(need(spec, "", "noise"), P.dim)
     rng = np.random.default_rng(config_int("seed", spec.get("seed", 0), 0))

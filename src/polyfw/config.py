@@ -23,6 +23,15 @@ def need(spec, path: str, key: str):
     return spec[key]
 
 
+def config_fields(path: str, spec, fields) -> dict:
+    """The JSON object spec at path ("" for the top level), with no key outside fields."""
+    for key in config_type(path or "config", spec, dict):
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              f"is not a field here; the fields are {'|'.join(fields)}")
+    return spec
+
+
 def config_choice(path: str, value, options):
     """value, which must be one of the strings in options."""
     if value not in tuple(options):

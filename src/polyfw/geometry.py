@@ -312,14 +312,14 @@ def active_index_set_of_vertex_set(P: Polytope, vertex_ids, tol: float = FEAS_TO
     return common
 
 
-def geometry_constants(P: Polytope, tol: float = FEAS_TOL) -> GeometryConstants:
+def geometry_constants(P: Polytope) -> GeometryConstants:
     """Diameter, vertex count, zeta, phi and omega = zeta/phi.
 
     zeta minimizes b_i - A_i v over (vertex, row) pairs with strictly
-    positive slack; phi maximizes ||A_i|| over rows not active at every
-    vertex. Raises DegeneratePolytope when the polytope is a single point
-    (D = 0) or every row is active at every vertex, which leaves phi
-    undefined.
+    positive slack; phi maximizes ||A_i|| over rows not active (slack <=
+    FEAS_TOL (1 + |b_i|)) at every vertex. Raises DegeneratePolytope when the
+    polytope is a single point (D = 0) or every row is active at every
+    vertex, which leaves phi undefined.
     """
     if P._geo is not None:
         return P._geo
@@ -329,7 +329,7 @@ def geometry_constants(P: Polytope, tol: float = FEAS_TOL) -> GeometryConstants:
     if D == 0.0:
         raise DegeneratePolytope("the polytope is a single point (diameter 0)")
     slack = P.b[None, :] - V @ P.A.T  # (N, m)
-    tol_i = tol * (1.0 + np.abs(P.b))
+    tol_i = FEAS_TOL * (1.0 + np.abs(P.b))
     active = slack <= tol_i[None, :]
     everywhere_active = active.all(axis=0)
     if everywhere_active.all():

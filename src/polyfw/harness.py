@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config_choice, config_float, config_int, config_number, config_type, need
+from .config import (config_choice, config_fields, config_float, config_int, config_number,
+                     config_type, need)
 from .diagnostics import (
     STEP_TYPES,
     AnalysisConstants,
@@ -59,6 +60,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        config_fields("", raw, [f.name for f in dataclasses.fields(cls)])
         problem = need(raw, "", "problem")
         need(problem, "problem", "polytope")
         need(problem, "problem", "objective")
@@ -135,14 +137,11 @@ class _Problem:
 
 
 def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstants) -> SamplePlan:
-    """Materialize the configured sampling mode at one epsilon.
-
-    Problem-derived params (V_g, D, N, omega, M, beta coefficients, the
-    theoretical p_g lower bound, c1) are auto-filled; anything given
-    explicitly in the config overrides the auto-filled value. A p_g that
-    rounds to 1 under a bounded-variance mode, a student_t plan above
-    STUDENT_T_MAX_DRAWS values per estimate, and a rademacher n above
-    BINOMIAL_MAX_N raise ConfigError.
+    """Materialize the configured sampling mode at one epsilon: its free
+    inputs (plan_from_json) laid over the problem's constants, the noise's V_g
+    and the theorem's p_g. A theorem p_g that rounds to 1 under a
+    bounded-variance mode, a student_t plan above STUDENT_T_MAX_DRAWS values
+    per estimate, and a rademacher n above BINOMIAL_MAX_N raise ConfigError.
     """
     plan = plan_from_json(cfg.sampling)
     if plan.mode not in ("exact", "fixed"):
@@ -258,7 +257,7 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
     for i, eps in enumerate(cfg.epsilon_grid):
         consts = prob.consts[i]
         n_planned = plan_sample_size(prob.plans[i])
-        cell_rows = [r for r in rows if r["replication"] >= 0 and r["epsilon"] == eps]
+        cell_rows = rows[i * cfg.replications : (i + 1) * cfg.replications]
         done = [r for r in cell_rows if r["T_eps"] >= 0]
         failed = len(cell_rows) - len(done)
         Ts = np.array([r["T_eps"] for r in done], dtype=float)

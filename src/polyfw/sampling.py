@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import config_choice, config_float, config_int, config_type, need
-from .errors import MissingParam, NonpositiveDenominator, NonpositiveS
+from .config import config_choice, config_fields, config_float, config_int, config_type, need
+from .errors import ConfigError, MissingParam, NonpositiveDenominator, NonpositiveS
 
 # noise_mean_stream draws gaussian and rademacher means in blocks of 8, 16, 32,
 # ... up to this many: a 4-6 step run takes one block, a long one pays per block.
@@ -30,10 +30,12 @@ BINOMIAL_MAX_N = 2**63 - 1
 
 NOISE_KINDS = ("gaussian", "student_t", "rademacher")
 
-PLAN_MODES = (
-    "exact", "fixed", "bounded_variance_standard", "bounded_variance_away",
-    "subgaussian_standard", "subgaussian_away",
-)
+# Each sampling mode's free inputs; the planners take every other constant from the problem.
+PLAN_INPUTS = {
+    "exact": (), "fixed": (),
+    "bounded_variance_standard": ("V_g", "p_g"), "bounded_variance_away": ("V_g", "p_g"),
+    "subgaussian_standard": ("c",), "subgaussian_away": ("c",),
+}
 
 
 @dataclass(frozen=True)
@@ -300,13 +302,20 @@ def noise_from_json(spec: dict, dim: int) -> NoiseModel:
 
 
 def plan_from_json(spec: dict) -> SamplePlan:
-    """Build from {"mode": ..., "n": ..., "params": {...}}; every param is a
-    positive number, and the sub-Gaussian modes need the constant c."""
-    mode = config_choice("sampling.mode", need(spec, "sampling", "mode"), PLAN_MODES)
+    """Build from {"mode": ..., "n": ... (fixed only), "params": {the mode's
+    PLAN_INPUTS, each > 0, p_g < 1, c required}}; any other key is an error."""
+    mode = config_choice("sampling.mode", need(spec, "sampling", "mode"), PLAN_INPUTS)
+    fields = {"exact": ("mode",), "fixed": ("mode", "n")}.get(mode, ("mode", "params"))
+    config_fields("sampling", spec, fields)
     if mode == "fixed":
         return SamplePlan.fixed(config_int("sampling.n", need(spec, "sampling", "n"), 1))
     params = config_type("sampling.params", spec.get("params", {}), dict)
+    if "eps_g" in params:
+        raise ConfigError("sampling.params.eps_g", "is set by the top-level field eps_g only")
+    config_fields("sampling.params", params, PLAN_INPUTS[mode])
     if mode.startswith("subgaussian"):
         need(params, "sampling.params", "c")
     params = {k: config_float(f"sampling.params.{k}", v, 0, above=True) for k, v in params.items()}
+    if params.get("p_g", 0.0) >= 1.0:
+        raise ConfigError("sampling.params.p_g", f"must be < 1, got {spec['params']['p_g']!r}")
     return SamplePlan(mode=mode, params=params)

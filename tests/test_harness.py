@@ -32,6 +32,12 @@ from polyfw.sampling import NoiseModel
 
 BOX3_A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
+# Criterion 4's problem: the corner simplex with z outside it (sum 1.8 > 1).
+CRITERION4_PROBLEM = {
+    "polytope": {"preset": "simplex", "dim": 3},
+    "objective": {"eigenvalues": [1.0, 2.0, 4.0], "z": [0.8, 0.6, 0.4]},
+}
+
 
 def concentration_spec():
     return {
@@ -206,6 +212,21 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(base_config(tmp_path / "c"))
         run_experiment(cfg)
         assert calls == cfg.epsilon_grid
+
+    def test_repeated_epsilon_cells_are_summarized_separately(self, tmp_path):
+        # Equal grid values are separate cells with separate streams; each
+        # per-epsilon entry averages its own replications only.
+        cfg = ExperimentConfig.from_dict(
+            base_config(tmp_path / "r", problem=CRITERION4_PROBLEM, epsilon_grid=[0.2, 0.2, 0.1],
+                        noise={"kind": "gaussian", "sigma": 1.0},
+                        sampling={"mode": "fixed", "n": 10})
+        )
+        summary = run_experiment(cfg)
+        lines = (tmp_path / "r" / "runs.csv").read_text().splitlines()[1:]
+        Ts = [int(line.split(",")[2]) for line in lines]
+        own = [float(np.mean(Ts[i * 3 : (i + 1) * 3])) for i in range(3)]
+        assert own[0] != own[1]
+        assert [p.mean_T for p in summary.per_epsilon] == own
 
     def test_cell_rng_is_scheduling_independent(self):
         a = cell_rng(7, 1, 2).standard_normal(4)
@@ -591,11 +612,13 @@ class TestCLI:
              "n_grid: rademacher noise at n = 100000000000000000000 is above"),
             ({"noise": {"kind": "rademacher", "scale": 1.0}, "n_grid": [2**63]},
              "n_grid: rademacher noise at n = 9223372036854775808 is above"),
+            ({"trial": 2000}, "trial: is not a field here; the fields are problem|noise|seed"),
         ],
         ids=["fractional_seed", "negative_seed", "few_trials", "fractional_trials", "zero_n",
              "fractional_n", "string_n_grid", "missing_n_grid", "nan_s", "zero_s",
              "string_noise", "missing_problem", "student_t_huge_n", "student_t_over_budget",
-             "rademacher_huge_n", "rademacher_huge_int_n", "rademacher_one_above"],
+             "rademacher_huge_n", "rademacher_huge_int_n", "rademacher_one_above",
+             "misspelled_trials"],
     )
     def test_concentration_bad_spec_exits_2(self, tmp_path, capsys, override, field):
         spec = concentration_spec()
@@ -674,12 +697,13 @@ class TestCLI:
             {"sampling": {"mode": "subgaussian_standard", "params": {"c": -1}}},
             {"save_traces": "no"},
             {"output_dir": 5},
+            {"save_trace": True},
         ],
         ids=["noise_kind", "sampling_mode", "workers", "max_iter", "fixed_n_zero",
              "string_epsilon_grid", "nan_epsilon", "inf_epsilon", "string_eps_g", "eps_g_above",
              "eps_g_negative", "eps_g_nan", "string_sampling", "fixed_without_n",
              "subgaussian_without_c", "list_params", "string_c", "negative_c",
-             "string_save_traces", "numeric_output_dir"],
+             "string_save_traces", "numeric_output_dir", "misspelled_save_traces"],
     )
     def test_invalid_field_exits_2(self, tmp_path, capsys, override):
         raw = base_config(tmp_path / "out")
@@ -689,6 +713,62 @@ class TestCLI:
         assert cli_main(["run", str(path)]) == 2
         assert f"config error: {next(iter(override))}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "sampling, field",
+        [
+            *[({"mode": "bounded_variance_away", "params": {key: 0.5}}, f"sampling.params.{key}")
+              for key in ("D", "N", "omega", "M", "beta1", "beta2", "c1", "d", "epsilon")],
+            ({"mode": "bounded_variance_away", "params": {"eps_g": 0.01}},
+             "sampling.params.eps_g: is set by the top-level field eps_g"),
+            ({"mode": "bounded_variance_standard", "params": {"pg": 0.5}},
+             "sampling.params.pg: is not a field here; the fields are V_g|p_g"),
+            ({"mode": "subgaussian_away", "params": {"c": 0.5, "V_g": 1.0}},
+             "sampling.params.V_g: is not a field here; the fields are c"),
+            ({"mode": "bounded_variance_standard", "params": {"c": 0.5}},
+             "sampling.params.c: is not a field here"),
+            ({"mode": "exact", "params": {}}, "sampling.params: is not a field here"),
+            ({"mode": "fixed", "n": 5, "params": "junk"},
+             "sampling.params: is not a field here; the fields are mode|n"),
+            ({"mode": "bounded_variance_standard", "n": 5}, "sampling.n: is not a field here"),
+            ({"mode": "exact", "n": 5}, "sampling.n: is not a field here"),
+            ({"mode": "bounded_variance_standard", "params": {"p_g": 1.0}},
+             "sampling.params.p_g: must be < 1, got 1.0"),
+            ({"mode": "bounded_variance_away", "params": {"p_g": 1.5}},
+             "sampling.params.p_g: must be < 1, got 1.5"),
+        ],
+        ids=["D", "N", "omega", "M", "beta1", "beta2", "c1", "d", "epsilon", "eps_g",
+             "typo_pg", "V_g_subgaussian", "c_bounded_variance", "params_exact", "params_fixed",
+             "n_formula_mode", "n_exact", "p_g_one", "p_g_above_one"],
+    )
+    def test_sampling_takes_only_the_modes_free_inputs(self, tmp_path, capsys, sampling, field):
+        # The problem constants of a plan come from the problem only, so a
+        # plan cannot disagree with the run; every other key is an error.
+        raw = base_config(tmp_path / "out", algorithm="away", sampling=sampling)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "algorithm, sampling, eps_g, n_planned",
+        [
+            ("standard", {"mode": "bounded_variance_standard", "params": {"p_g": 0.5}}, None,
+             4801),
+            ("away", {"mode": "bounded_variance_away"}, 0.01, 3_238_645_785),
+        ],
+        ids=["given_p_g", "top_level_eps_g"],
+    )
+    def test_free_inputs_plan_the_criterion_4_cell(self, tmp_path, algorithm, sampling, eps_g,
+                                                   n_planned):
+        raw = base_config(
+            tmp_path / "out", problem=CRITERION4_PROBLEM, algorithm=algorithm, epsilon_grid=[0.2],
+            replications=1, noise={"kind": "gaussian", "sigma": 1.0}, sampling=sampling,
+            eps_g=eps_g,
+        )
+        summary = run_experiment(ExperimentConfig.from_dict(raw))
+        assert summary.per_epsilon[0].n_planned == n_planned
 
     @pytest.mark.parametrize(
         "override, field",
@@ -866,7 +946,7 @@ _FIELDS = [
 # Small values only: a valid mutation must still run in well under a second.
 _VALUES = [
     _DELETE, None, True, False, "x", "0.1", "gaussian", "student_t", "subgaussian_away", "box",
-    [], {}, [1.0, "a"], [[1, 0], [1]], {"c": -1}, {"kind": "student_t"},
+    [], {}, [1.0, "a"], [[1, 0], [1]], {"c": -1}, {"pg": 0.5}, {"D": 1.0}, {"kind": "student_t"},
     -1, 0, 1, 2, 3, 2.5, 0.05, 10.0, math.nan, math.inf, -math.inf,
 ]
 
