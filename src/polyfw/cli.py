@@ -21,12 +21,13 @@ from .geometry import lmo, polytope_from_json
 from .harness import (
     ALGORITHMS,
     CONCENTRATION_MAX_VALUES,
+    TRACE_FIELDS,
     ExperimentConfig,
     concentration_experiment,
+    problem_from_json,
     run_experiment,
     trace_from_json,
 )
-from .objectives import objective_from_json
 from .sampling import BINOMIAL_MAX_N, STUDENT_T_MAX_DRAWS, noise_from_json
 
 
@@ -44,11 +45,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = _load_json(args.trace)
+    data = config_fields("trace", _load_json(args.trace), TRACE_FIELDS)
     trace = trace_from_json(data)
-    problem = need(data, "trace", "problem")
-    P = polytope_from_json(need(problem, "trace.problem", "polytope"))
-    obj = objective_from_json(need(problem, "trace.problem", "objective"))
+    P, obj = problem_from_json(need(data, "trace", "problem"), "trace.problem")
     epsilon = config_float("trace.epsilon", need(data, "trace", "epsilon"), 0, above=True)
     eps_g = data.get("eps_g")
     eps_g = None if eps_g is None else config_float("trace.eps_g", eps_g)
@@ -77,7 +76,7 @@ def cmd_lmo_check(args) -> int:
 def cmd_concentration(args) -> int:
     spec = config_fields("", _load_json(args.config),
                          ("problem", "noise", "seed", "trials", "n_grid", "s_grid"))
-    P = polytope_from_json(need(need(spec, "", "problem"), "problem", "polytope"))
+    P, _ = problem_from_json(need(spec, "", "problem"), require_objective=False)
     noise = noise_from_json(need(spec, "", "noise"), P.dim)
     rng = np.random.default_rng(config_int("seed", spec.get("seed", 0), 0))
     trials = config_int("trials", spec.get("trials", 10**4), 1000)

@@ -59,11 +59,7 @@ class NoConvergence(PolyFWError):
 
 
 class MissingParam(PolyFWError):
-    """A sample-size plan lacks a required named parameter."""
-
-
-class NonpositiveDenominator(PolyFWError):
-    """A planner formula denominator is zero or negative (e.g. p_g >= 1)."""
+    """A sample-size plan has an unknown mode, or no resolved n."""
 
 
 class NonpositiveS(PolyFWError):

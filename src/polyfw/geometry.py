@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex_lp
-from .config import config_choice, config_float, config_int, config_type, need
+from .config import config_choice, config_fields, config_float, config_int, config_type, need
 from .errors import (
     ConfigError,
     DegeneratePolytope,
@@ -413,12 +413,14 @@ def polytope_from_json(spec: dict) -> Polytope:
     """Build a polytope from {"A": ..., "b": ...} or
     {"preset": "simplex"|"box"|"probability_simplex", "dim": d, "scale": s}."""
     if "preset" in config_type("polytope", spec, dict):
+        config_fields("polytope", spec, ("preset", "dim", "scale"))
         name = config_choice("polytope.preset", spec["preset"], _PRESETS)
         dim = config_int("polytope.dim", need(spec, "polytope", "dim"), 1)
         scale = config_float("polytope.scale", spec.get("scale", 1.0), 0, above=True)
         build, rows = _PRESETS[name]
         check_size(rows(dim), dim)
         return build(dim, scale)
+    config_fields("polytope", spec, ("A", "b"))
     A = config_float("polytope.A", need(spec, "polytope", "A"), ndim=2)
     b = config_float("polytope.b", need(spec, "polytope", "b"), ndim=1)
     if len(A) != len(b):

@@ -36,7 +36,7 @@ from .sampling import (
     plan_from_json,
     plan_sample_size,
     sample_noise_means,
-    subgaussian_c1,
+    theorem_sample_size,
 )
 
 ALGORITHMS = ("standard", "away")
@@ -118,17 +118,28 @@ class SummaryStats:
         }
 
 
+def problem_from_json(spec: dict, path: str = "problem", require_objective: bool = True):
+    """(polytope, objective) from {"polytope": ..., "objective": ...} at path.
+    The objective must have the polytope's dimension; without
+    require_objective an absent one reads as None."""
+    config_fields(path, spec, ("polytope", "objective"))
+    P = polytope_from_json(need(spec, path, "polytope"))
+    if not require_objective and "objective" not in spec:
+        return P, None
+    obj = objective_from_json(need(spec, path, "objective"))
+    if obj.dim != P.dim:
+        raise ConfigError(f"{path}.objective", f"has dimension {obj.dim}, but the polytope "
+                          f"has dimension {P.dim}")
+    return P, obj
+
+
 class _Problem:
     """Problem objects, and the analysis constants and sample plan at each
     epsilon of the grid, built once from a config and shared across cells."""
 
     def __init__(self, cfg: ExperimentConfig):
-        self.P = polytope_from_json(cfg.problem["polytope"])
+        self.P, self.obj = problem_from_json(cfg.problem)
         self.noise = noise_from_json(cfg.noise, self.P.dim)
-        self.obj = objective_from_json(cfg.problem["objective"])
-        if self.obj.dim != self.P.dim:
-            raise ConfigError("problem.objective", f"has dimension {self.obj.dim}, but the "
-                              f"polytope has dimension {self.P.dim}")
         self.ref = reference_solution(self.obj, self.P)
         x0 = initial_active_set(self.P).point
         self.gap0 = self.obj.value(x0) - self.ref.f_star
@@ -137,36 +148,16 @@ class _Problem:
 
 
 def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstants) -> SamplePlan:
-    """Materialize the configured sampling mode at one epsilon: its free
-    inputs (plan_from_json) laid over the problem's constants, the noise's V_g
-    and the theorem's p_g. A theorem p_g that rounds to 1 under a
+    """The configured sampling mode at one epsilon, with its n set: a theorem
+    mode's from theorem_sample_size on consts, the noise's V_g and the
+    polytope's dimension. A theorem p_g that rounds to 1 under a
     bounded-variance mode, a student_t plan above STUDENT_T_MAX_DRAWS values
     per estimate, and a rademacher n above BINOMIAL_MAX_N raise ConfigError.
     """
     plan = plan_from_json(cfg.sampling)
     if plan.mode not in ("exact", "fixed"):
-        auto = {
-            "V_g": prob.noise.V_g,
-            "D": consts.D,
-            "epsilon": consts.epsilon,
-            "eps_g": consts.eps_g,
-            "N": consts.N,
-            "omega": consts.omega,
-            "M": consts.M,
-            "beta1": consts.beta1,
-            "beta2": consts.beta2,
-            "d": prob.P.dim,
-            "p_g": consts.pg_standard if plan.mode.endswith("standard") else consts.pg_away,
-            "c1": subgaussian_c1(consts.mu, consts.eps_g, consts.D, consts.N, consts.omega),
-        }
-        auto.update(plan.params)
-        if plan.mode.startswith("bounded_variance") and not auto["p_g"] < 1.0:
-            raise ConfigError(
-                "sampling.mode",
-                f"{plan.mode} needs p_g < 1, but p_g = {auto['p_g']} at M = {auto['M']} and "
-                f"epsilon = {consts.epsilon} (1 - p_g shrinks like exp(-2M) and rounds to 0)",
-            )
-        plan = SamplePlan(mode=plan.mode, params=auto)
+        plan = dataclasses.replace(
+            plan, n=theorem_sample_size(plan, consts, prob.noise.V_g, prob.P.dim))
     n = plan_sample_size(plan)
     if prob.noise.kind == "student_t" and n * prob.P.dim > STUDENT_T_MAX_DRAWS:
         raise ConfigError("sampling", f"student_t noise needs n = {n} draws per estimate at "
@@ -366,6 +357,11 @@ def _save_trace(cfg, eps_index, replication, trace):
     # one. Both write the same bytes.
     with open(_trace_path(cfg, eps_index, replication), "w") as fh:
         fh.write(json.dumps(trace_to_json(cfg, eps_index, trace)))
+
+
+# The header fields trace_to_json writes, the only ones a trace may hold.
+TRACE_FIELDS = ("algorithm", "epsilon", "eps_g", "problem", "T_eps", "total_samples",
+                "final_gap", "records")
 
 
 def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dict:

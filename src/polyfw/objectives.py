@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config_float, config_int, need
+from .config import config_fields, config_float, config_int, need
 from .errors import ConfigError, DimensionMismatch, NoConvergence
 from .geometry import Polytope
 
@@ -138,6 +138,7 @@ def max_abs_value(obj: QuadraticObjective, P: Polytope) -> float:
 
 def objective_from_json(spec: dict) -> QuadraticObjective:
     """Build from {"eigenvalues": [...], "rotation_seed": int|null, "z": [...]}."""
+    config_fields("objective", spec, ("eigenvalues", "z", "rotation_seed"))
     lam = need(spec, "objective", "eigenvalues")
     lam = config_float("objective.eigenvalues", lam, 0, above=True, ndim=1)
     z = config_float("objective.z", need(spec, "objective", "z"), ndim=1)

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import config_choice, config_fields, config_float, config_int, config_type, need
-from .errors import ConfigError, MissingParam, NonpositiveDenominator, NonpositiveS
+from .diagnostics import AnalysisConstants
+from .errors import ConfigError, MissingParam, NonpositiveS
 
 # noise_mean_stream draws gaussian and rademacher means in blocks of 8, 16, 32,
 # ... up to this many: a 4-6 step run takes one block, a long one pays per block.
@@ -179,8 +180,8 @@ class SamplePlan:
     """Per-iteration sample-size rule.
 
     mode "exact" signals exact-gradient runs (resolves to 0); "fixed" uses
-    the given n; the remaining modes evaluate the bounded-variance or
-    sub-Gaussian planner formulas from the named params.
+    the given n; the theorem modes take their free inputs (PLAN_INPUTS) in
+    params and get n from theorem_sample_size at one epsilon.
     """
 
     mode: str
@@ -196,66 +197,60 @@ class SamplePlan:
         return cls(mode="fixed", n=int(n))
 
 
-def _get(params: dict, mode: str, *names: str) -> list[float]:
-    out = []
-    for name in names:
-        if name not in params:
-            raise MissingParam(f"mode {mode!r} needs param {name!r}")
-        out.append(float(params[name]))
-    return out
-
-
 def subgaussian_c1(mu: float, eps_g: float, D: float, N: int, omega: float) -> float:
     """Threshold coefficient c1 with s^2 = c1 * epsilon for the away-step
     sub-Gaussian planner: (omega/N)^2 * mu / (2 (2 eps_g D + 1)^2)."""
     return (omega / N) ** 2 * mu / (2.0 * (2.0 * eps_g * D + 1.0) ** 2)
 
 
-def plan_sample_size(plan: SamplePlan) -> int:
-    """Resolve the plan to an integer per-iteration sample size.
+def theorem_sample_size(plan: SamplePlan, consts: AnalysisConstants, V_g: float, d: int) -> int:
+    """The per-iteration n of a theorem mode at consts.epsilon, at least 1.
+    plan.params holds the mode's free inputs: V_g defaults to the noise's,
+    p_g to the theorem's (consts.pg_standard or consts.pg_away), c is given;
+    every other constant comes from consts.
 
     bounded_variance_standard: 16 V_g D^2 / (eps^2 (1 - p_g))
     bounded_variance_away:     2 V_g (2 eps_g D + 1)^2 (N/omega)^2 / ((1 - p_g) eps)
     subgaussian_standard: (16 D^2 / (c eps^2)) (2M + 2 + log 2d + log(1/(beta1 eps)))
     subgaussian_away:     (2M + 2 + log 2d - log(beta2 eps)) / (c c1 eps)
+
+    A theorem p_g that rounds to 1 raises ConfigError.
     """
-    p = plan.params
+    p, mode = plan.params, plan.mode
+    eps, eps_g, D, M, N, omega = (consts.epsilon, consts.eps_g, consts.D, consts.M, consts.N,
+                                  consts.omega)
+    if mode.startswith("bounded_variance"):
+        V_g = p.get("V_g", V_g)
+        p_g = p.get("p_g", consts.pg_standard if mode.endswith("standard") else consts.pg_away)
+        if not p_g < 1.0:
+            raise ConfigError("sampling.mode", f"{mode} needs p_g < 1, but p_g = {p_g} at "
+                              f"M = {M} and epsilon = {eps} (1 - p_g shrinks like exp(-2M) "
+                              f"and rounds to 0)")
+    if mode == "bounded_variance_standard":
+        raw = 16.0 * V_g * D**2 / (eps**2 * (1.0 - p_g))
+    elif mode == "bounded_variance_away":
+        raw = 2.0 * V_g * (2.0 * eps_g * D + 1.0) ** 2 / ((1.0 - p_g) * eps) * (N / omega) ** 2
+    elif mode == "subgaussian_standard":
+        front = 16.0 * D**2 / (p["c"] * eps**2)
+        raw = front * (2.0 * M + 2.0 + math.log(2.0 * d)) + front * math.log(
+            1.0 / (consts.beta1 * eps))
+    elif mode == "subgaussian_away":
+        c1 = subgaussian_c1(consts.mu, eps_g, D, N, omega)
+        raw = (2.0 * M + 2.0 + math.log(2.0 * d) - math.log(consts.beta2 * eps)) / (
+            p["c"] * c1 * eps)
+    else:
+        raise MissingParam(f"mode {mode!r} has no theorem sample size")
+    return max(1, math.ceil(raw))
+
+
+def plan_sample_size(plan: SamplePlan) -> int:
+    """The plan's per-iteration sample size: 0 for "exact", else its n, given
+    for "fixed" and set from theorem_sample_size for the theorem modes."""
     if plan.mode == "exact":
         return 0
-    if plan.mode == "fixed":
-        if plan.n is None or plan.n < 1:
-            raise MissingParam("fixed mode needs n >= 1")
-        return int(plan.n)
-    if plan.mode == "bounded_variance_standard":
-        V_g, D, eps, p_g = _get(p, plan.mode, "V_g", "D", "epsilon", "p_g")
-        if p_g >= 1.0 or eps <= 0:
-            raise NonpositiveDenominator(f"need p_g < 1 and epsilon > 0")
-        raw = 16.0 * V_g * D**2 / (eps**2 * (1.0 - p_g))
-    elif plan.mode == "bounded_variance_away":
-        V_g, D, eps, p_g, eps_g, N, omega = _get(
-            p, plan.mode, "V_g", "D", "epsilon", "p_g", "eps_g", "N", "omega"
-        )
-        if p_g >= 1.0 or eps <= 0:
-            raise NonpositiveDenominator(f"need p_g < 1 and epsilon > 0")
-        raw = (
-            2.0 * V_g * (2.0 * eps_g * D + 1.0) ** 2 / ((1.0 - p_g) * eps)
-        ) * (N / omega) ** 2
-    elif plan.mode == "subgaussian_standard":
-        D, eps, c, M, beta1, d = _get(p, plan.mode, "D", "epsilon", "c", "M", "beta1", "d")
-        if c <= 0 or eps <= 0:
-            raise NonpositiveDenominator("need c > 0 and epsilon > 0")
-        front = 16.0 * D**2 / (c * eps**2)
-        raw = front * (2.0 * M + 2.0 + math.log(2.0 * d)) + front * math.log(
-            1.0 / (beta1 * eps)
-        )
-    elif plan.mode == "subgaussian_away":
-        eps, c, c1, M, beta2, d = _get(p, plan.mode, "epsilon", "c", "c1", "M", "beta2", "d")
-        if c <= 0 or c1 <= 0 or eps <= 0:
-            raise NonpositiveDenominator("need c > 0, c1 > 0 and epsilon > 0")
-        raw = (2.0 * M + 2.0 + math.log(2.0 * d) - math.log(beta2 * eps)) / (c * c1 * eps)
-    else:
-        raise MissingParam(f"unknown sampling mode {plan.mode!r}")
-    return max(1, math.ceil(raw))
+    if plan.n is None or plan.n < 1:
+        raise MissingParam(f"mode {plan.mode!r} needs a resolved n >= 1, got {plan.n!r}")
+    return int(plan.n)
 
 
 def calibrate_subgaussian_c(
@@ -292,6 +287,7 @@ def noise_from_json(spec: dict, dim: int) -> NoiseModel:
     """Build from {"kind": ..., "sigma"|"scale": ..., "dof": ...}."""
     kind = config_choice("noise.kind", need(spec, "noise", "kind"), NOISE_KINDS)
     key = "sigma" if kind == "gaussian" else "scale"
+    config_fields("noise", spec, ("kind", key, "dof") if kind == "student_t" else ("kind", key))
     scale = config_float(f"noise.{key}", need(spec, "noise", key), 0)
     if kind == "gaussian":
         return NoiseModel.gaussian(scale, dim)

@@ -25,7 +25,7 @@ from polyfw.harness import (
     theorem_bound_mean_T,
 )
 from polyfw.objectives import QuadraticObjective, reference_solution
-from polyfw.sampling import NoiseModel, SamplePlan, estimate_gradient, plan_sample_size
+from polyfw.sampling import NoiseModel, SamplePlan, estimate_gradient, theorem_sample_size
 from polyfw.simplex_lp import lmo_simplex_method
 
 from conftest import random_polytope
@@ -184,10 +184,9 @@ def test_criterion_5_good_event_probability(prob3):
     eps, p_g = 0.1, 0.9
     c = compute_constants(obj, P, eps)
     noise = NoiseModel.gaussian(0.5, 3)
-    n = plan_sample_size(SamplePlan(
-        "bounded_variance_standard",
-        params={"V_g": noise.V_g, "D": c.D, "epsilon": eps, "p_g": p_g},
-    ))
+    n = theorem_sample_size(
+        SamplePlan("bounded_variance_standard", params={"p_g": p_g}), c, noise.V_g, P.dim
+    )
     # 10 distinct iterates along an exact standard run.
     trace = run("standard", obj, P, None, SamplePlan.exact(), eps, 10**6, None,
                 collect_active_ids=True)

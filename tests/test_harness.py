@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -28,7 +30,7 @@ from polyfw.harness import (
     trace_from_json,
 )
 from polyfw.objectives import QuadraticObjective
-from polyfw.sampling import NoiseModel
+from polyfw.sampling import NoiseModel, plan_sample_size
 
 BOX3_A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
@@ -613,12 +615,32 @@ class TestCLI:
             ({"noise": {"kind": "rademacher", "scale": 1.0}, "n_grid": [2**63]},
              "n_grid: rademacher noise at n = 9223372036854775808 is above"),
             ({"trial": 2000}, "trial: is not a field here; the fields are problem|noise|seed"),
+            ({"problem": {"polytope": {"preset": "box", "dim": 2, "scle": 3.0}}},
+             "polytope.scle: is not a field here; the fields are preset|dim|scale"),
+            ({"problem": {"polytope": {"A": [[1, 0], [0, 1], [-1, -1]], "b": [1, 1, 0],
+                                       "dim": 2}}},
+             "polytope.dim: is not a field here; the fields are A|b"),
+            ({"problem": {"polytope": {"preset": "box", "dim": 2},
+                          "objective": {"eigenvalues": [1.0, 2.0], "z": [0.0, 0.0],
+                                        "rotation_sed": 5}}},
+             "objective.rotation_sed: is not a field here; the fields are eigenvalues|z"),
+            ({"noise": {"kind": "gaussian", "sigma": 1.0, "sigm": 5.0}},
+             "noise.sigm: is not a field here; the fields are kind|sigma"),
+            ({"noise": {"kind": "rademacher", "scale": 1.0, "dof": 5}},
+             "noise.dof: is not a field here; the fields are kind|scale"),
+            ({"problem": {"polytope": {"preset": "box", "dim": 2}, "objectve": {}}},
+             "problem.objectve: is not a field here; the fields are polytope|objective"),
+            ({"problem": {"polytope": {"preset": "box", "dim": 2},
+                          "objective": {"eigenvalues": [1.0, 2.0, 3.0], "z": [0.0, 0.0, 0.0]}}},
+             "problem.objective: has dimension 3, but the polytope has dimension 2"),
         ],
         ids=["fractional_seed", "negative_seed", "few_trials", "fractional_trials", "zero_n",
              "fractional_n", "string_n_grid", "missing_n_grid", "nan_s", "zero_s",
              "string_noise", "missing_problem", "student_t_huge_n", "student_t_over_budget",
              "rademacher_huge_n", "rademacher_huge_int_n", "rademacher_one_above",
-             "misspelled_trials"],
+             "misspelled_trials", "misspelled_polytope_scale", "dim_in_a_b_polytope",
+             "misspelled_rotation_seed", "misspelled_sigma", "dof_off_student_t",
+             "misspelled_objective", "objective_dimension_mismatch"],
     )
     def test_concentration_bad_spec_exits_2(self, tmp_path, capsys, override, field):
         spec = concentration_spec()
@@ -641,9 +663,17 @@ class TestCLI:
             ({"problem": None}, "trace.problem: missing"),
             ({"eps_g": 5}, "eps_g: 5.0 outside (0, 1/(4D))"),
             ([1, 2], "trace: must be an object, got [1, 2]"),
+            ({"epsilon_g": 0.01}, "trace.epsilon_g: is not a field here; the fields are "
+             "algorithm|epsilon|eps_g|problem|T_eps|total_samples|final_gap|records"),
+            ({"problem": {"polytope": {"preset": "simplex", "dim": 3},
+                          "objective": {"eigenvalues": [1.0, 2.0], "z": [0.4, 0.3]}}},
+             "trace.problem.objective: has dimension 2, but the polytope has dimension 3"),
+            ({"problem": {"polytope": {"preset": "simplex", "dim": 3}, "objectiv": {}}},
+             "trace.problem.objectiv: is not a field here"),
         ],
         ids=["unknown_algorithm", "string_epsilon", "missing_epsilon", "missing_records",
-             "missing_problem", "eps_g_out_of_range", "top_level_list"],
+             "missing_problem", "eps_g_out_of_range", "top_level_list", "unread_header_key",
+             "objective_dimension_mismatch", "misspelled_objective"],
     )
     def test_verify_bad_header_exits_2(self, tmp_path, capsys, damage, field):
         raw = base_config(
@@ -698,12 +728,16 @@ class TestCLI:
             {"save_traces": "no"},
             {"output_dir": 5},
             {"save_trace": True},
+            {"noise": {"kind": "gaussian", "sigma": 0.1, "sigm": 5.0}},
+            {"problem": {"polytope": {"preset": "simplex", "dim": 3}, "objective": {
+                "eigenvalues": [1.0, 2.0, 3.0], "z": [0.4, 0.3, 0.2]}, "scale": 2.0}},
         ],
         ids=["noise_kind", "sampling_mode", "workers", "max_iter", "fixed_n_zero",
              "string_epsilon_grid", "nan_epsilon", "inf_epsilon", "string_eps_g", "eps_g_above",
              "eps_g_negative", "eps_g_nan", "string_sampling", "fixed_without_n",
              "subgaussian_without_c", "list_params", "string_c", "negative_c",
-             "string_save_traces", "numeric_output_dir", "misspelled_save_traces"],
+             "string_save_traces", "numeric_output_dir", "misspelled_save_traces",
+             "misspelled_sigma", "unread_problem_key"],
     )
     def test_invalid_field_exits_2(self, tmp_path, capsys, override):
         raw = base_config(tmp_path / "out")
@@ -948,6 +982,8 @@ _VALUES = [
     _DELETE, None, True, False, "x", "0.1", "gaussian", "student_t", "subgaussian_away", "box",
     [], {}, [1.0, "a"], [[1, 0], [1]], {"c": -1}, {"pg": 0.5}, {"D": 1.0}, {"kind": "student_t"},
     -1, 0, 1, 2, 3, 2.5, 0.05, 10.0, math.nan, math.inf, -math.inf,
+    {"preset": "box", "dim": 3, "scle": 3.0}, {"kind": "gaussian", "sigma": 0.1, "sigm": 5.0},
+    {"eigenvalues": [1.0, 2.0, 3.0], "z": [0.4, 0.3, 0.2], "rotation_sed": 5},
 ]
 
 
@@ -961,7 +997,9 @@ def _mutate(raw, path, value):
         if value is _DELETE:
             del raw[last]
         else:
-            raw[last] = value
+            # A copy: a shared dict from _VALUES would carry one example's
+            # mutations into the next, or into itself.
+            raw[last] = copy.deepcopy(value)
     except (KeyError, IndexError, TypeError):
         pass
 
@@ -984,3 +1022,24 @@ def test_mutated_config_exits_cleanly(mutations):
         assert code in (0, 2, 3)
         if code == 2:
             assert not out.exists()
+
+
+def _benchmark_workloads():
+    """benchmark/workloads.py, loaded from its file as the benchmark runs it."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_plans_through_the_library_api(tmp_path):
+    # The benchmark's set-up probe plans n through resolve_plan with a holder
+    # of the polytope and noise only, and plan_sample_size from polyfw: both
+    # must give the sizes the harness runs with.
+    workloads = _benchmark_workloads()
+    for name in workloads.WORKLOADS:
+        raw = workloads.experiment_config(name, 1, str(tmp_path))
+        prob = harness._Problem(ExperimentConfig.from_dict(raw))
+        planned = [plan_sample_size(p) for p in prob.plans]
+        assert workloads.build_problem(raw)["n_planned"] == planned, name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyfw import sampling
-from polyfw.errors import MissingParam, NonpositiveDenominator, NonpositiveS
+from polyfw.diagnostics import AnalysisConstants, compute_constants
+from polyfw.errors import ConfigError, MissingParam, NonpositiveS
+from polyfw.geometry import unit_simplex
 from polyfw.objectives import QuadraticObjective
 from polyfw.sampling import (
     MEAN_BLOCK_MAX,
@@ -19,6 +22,7 @@ from polyfw.sampling import (
     plan_sample_size,
     sample_noise_means,
     subgaussian_c1,
+    theorem_sample_size,
 )
 
 
@@ -324,6 +328,16 @@ class TestChebyshev:
         assert chebyshev_tail_bound(V_g, n + 1, s) <= b
 
 
+def consts_at(epsilon: float, **values) -> AnalysisConstants:
+    """The d = 3 simplex's constants at epsilon, with the given ones replaced."""
+    return dataclasses.replace(compute_constants(quad3(), unit_simplex(3), epsilon), **values)
+
+
+def theorem_n(mode: str, params: dict, consts: AnalysisConstants, V_g: float = 1.0,
+              d: int = 3) -> int:
+    return theorem_sample_size(SamplePlan(mode, params=params), consts, V_g, d)
+
+
 class TestPlanner:
     def test_exact_and_fixed(self):
         assert plan_sample_size(SamplePlan.exact()) == 0
@@ -331,88 +345,65 @@ class TestPlanner:
 
     def test_bounded_variance_standard_hand_value(self):
         # 16 * 1 * 1 / (0.1^2 * (1 - 0.9)) = 16000.
-        plan = SamplePlan(
-            "bounded_variance_standard",
-            params={"V_g": 1.0, "D": 1.0, "epsilon": 0.1, "p_g": 0.9},
-        )
-        assert plan_sample_size(plan) == 16000
+        n = theorem_n("bounded_variance_standard", {"p_g": 0.9}, consts_at(0.1, D=1.0))
+        assert n == 16000
 
     def test_bounded_variance_standard_quadruples_when_epsilon_halves(self):
-        params = {"V_g": 2.0, "D": 1.5, "epsilon": 0.2, "p_g": 0.5}
-        n1 = plan_sample_size(SamplePlan("bounded_variance_standard", params=params))
-        params2 = dict(params, epsilon=0.1)
-        n2 = plan_sample_size(SamplePlan("bounded_variance_standard", params=params2))
+        n1 = theorem_n("bounded_variance_standard", {"p_g": 0.5}, consts_at(0.2, D=1.5), V_g=2.0)
+        n2 = theorem_n("bounded_variance_standard", {"p_g": 0.5}, consts_at(0.1, D=1.5), V_g=2.0)
         assert n2 == 4 * n1
 
     def test_bounded_variance_away_hand_value(self):
         # 2 * 1 * (2*0.25*1 + 1)^2 * (4/1)^2 / (0.5 * 0.1) = 1440.
-        plan = SamplePlan(
-            "bounded_variance_away",
-            params={
-                "V_g": 1.0, "D": 1.0, "epsilon": 0.1, "p_g": 0.5,
-                "eps_g": 0.25, "N": 4, "omega": 1.0,
-            },
-        )
-        assert plan_sample_size(plan) == 1440
+        consts = consts_at(0.1, D=1.0, eps_g=0.25, N=4, omega=1.0)
+        assert theorem_n("bounded_variance_away", {"p_g": 0.5}, consts) == 1440
+
+    def test_free_inputs_override_the_problem(self):
+        # A given V_g and p_g replace the noise's and the theorem's.
+        consts = consts_at(0.1, D=1.0, pg_standard=0.5)
+        assert theorem_n("bounded_variance_standard", {}, consts, V_g=1.0) == 3200
+        assert theorem_n("bounded_variance_standard", {"V_g": 2.0, "p_g": 0.9}, consts) == 32000
 
     def test_subgaussian_standard_hand_value(self):
         # front = 16/(1*0.01) = 1600; n = 1600*(2+2+log 4) + 1600*log(1/0.025).
-        plan = SamplePlan(
-            "subgaussian_standard",
-            params={"D": 1.0, "epsilon": 0.1, "c": 1.0, "M": 1.0, "beta1": 0.25, "d": 2},
-        )
+        consts = consts_at(0.1, D=1.0, M=1.0, beta1=0.25)
         raw = 1600 * (4 + math.log(4.0)) + 1600 * math.log(40.0)
-        assert plan_sample_size(plan) == math.ceil(raw)
+        assert theorem_n("subgaussian_standard", {"c": 1.0}, consts, d=2) == math.ceil(raw)
 
     def test_subgaussian_away_hand_value(self):
-        plan = SamplePlan(
-            "subgaussian_away",
-            params={"epsilon": 0.1, "c": 0.5, "c1": 0.2, "M": 1.0, "beta2": 0.1, "d": 3},
-        )
+        # c1 = (1/1)^2 * 0.4 / (2 * (2*0*1 + 1)^2) = 0.2.
+        consts = consts_at(0.1, mu=0.4, eps_g=0.0, N=1, omega=1.0, M=1.0, beta2=0.1)
         raw = (4 + math.log(6.0) - math.log(0.01)) / (0.5 * 0.2 * 0.1)
-        assert plan_sample_size(plan) == math.ceil(raw)
+        assert theorem_n("subgaussian_away", {"c": 0.5}, consts) == math.ceil(raw)
 
     def test_monotone_in_epsilon(self):
-        base = {"V_g": 1.0, "D": 1.0, "p_g": 0.5}
         sizes = [
-            plan_sample_size(
-                SamplePlan("bounded_variance_standard", params=dict(base, epsilon=e))
-            )
+            theorem_n("bounded_variance_standard", {"p_g": 0.5}, consts_at(e, D=1.0))
             for e in (0.4, 0.2, 0.1, 0.05)
         ]
         assert sizes == sorted(sizes)
 
     def test_missing_param(self):
-        with pytest.raises(MissingParam):
+        with pytest.raises(MissingParam, match="needs a resolved n"):
             plan_sample_size(SamplePlan("bounded_variance_standard", params={"V_g": 1.0}))
         with pytest.raises(MissingParam):
             plan_sample_size(SamplePlan("fixed"))
         with pytest.raises(MissingParam):
             plan_sample_size(SamplePlan("no_such_mode"))
+        with pytest.raises(MissingParam):
+            theorem_n("fixed", {}, consts_at(0.1))
 
     def test_nonpositive_denominator(self):
-        with pytest.raises(NonpositiveDenominator):
-            plan_sample_size(
-                SamplePlan(
-                    "bounded_variance_standard",
-                    params={"V_g": 1.0, "D": 1.0, "epsilon": 0.1, "p_g": 1.0},
-                )
-            )
-        with pytest.raises(NonpositiveDenominator):
-            plan_sample_size(
-                SamplePlan(
-                    "subgaussian_standard",
-                    params={"D": 1.0, "epsilon": 0.1, "c": 0.0, "M": 1.0,
-                            "beta1": 0.25, "d": 2},
-                )
-            )
+        # 1 - p_g is the bounded-variance denominator: a theorem p_g of 1 is a
+        # config error naming it (a given p_g < 1 is checked by plan_from_json).
+        for mode, field in (("bounded_variance_standard", "pg_standard"),
+                            ("bounded_variance_away", "pg_away")):
+            with pytest.raises(ConfigError, match=f"{mode} needs p_g < 1, but p_g = 1.0"):
+                theorem_n(mode, {}, consts_at(0.1, **{field: 1.0}))
 
     def test_at_least_one_sample(self):
-        plan = SamplePlan(
-            "bounded_variance_standard",
-            params={"V_g": 1e-12, "D": 1.0, "epsilon": 1.0, "p_g": 0.1},
-        )
-        assert plan_sample_size(plan) == 1
+        consts = consts_at(1.0, D=1.0)
+        assert theorem_n("bounded_variance_standard", {"p_g": 0.1}, consts, V_g=1e-12) == 1
 
 
 def test_subgaussian_c1_hand_value():

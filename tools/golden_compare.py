@@ -21,6 +21,9 @@ inputs of the `audit` workload with `workloads.Workload`, runs its round
 `concentration`), and one row per CLI call says whether its exit code and
 standard output are byte-identical.
 
+A third table gives the line count (as `wc -l` counts) of every Python
+module under each side's `src/`, and their totals.
+
 The exit status is 1 when a run row breaks the rule (those three columns
 identical and final_gap within 1e-12 relative) or a CLI row differs.
 """
@@ -112,6 +115,19 @@ def compare(parent: dict, change: dict) -> tuple[bool, float, bool]:
     return same, worst, parent == change
 
 
+def src_lines(checkout: str) -> dict[str, int]:
+    """Line count of every .py file under checkout/src, keyed by its path there."""
+    src = os.path.join(checkout, "src")
+    out = {}
+    for root, _, files in os.walk(src):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    out[os.path.relpath(path, src)] = fh.read().count("\n")
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent")
@@ -149,6 +165,15 @@ def main() -> int:
                   f"| {'yes' if p_text == c_text else 'no'} |")
     cli_ok = cli_ok and [len(r) for r in p_out["cli"]] == [len(r) for r in c_out["cli"]]
     print(f"CLI outputs: {'identical' if cli_ok else 'DIFFER'}")
+    print()
+    print("| src/ module | parent lines | change lines | change - parent |")
+    print("| --- | --- | --- | --- |")
+    p_lines, c_lines = src_lines(parent), src_lines(change)
+    for module in sorted(p_lines.keys() | c_lines.keys()):
+        p_n, c_n = p_lines.get(module, 0), c_lines.get(module, 0)
+        print(f"| {module} | {p_n} | {c_n} | {c_n - p_n:+d} |")
+    p_n, c_n = sum(p_lines.values()), sum(c_lines.values())
+    print(f"| total | {p_n} | {c_n} | {c_n - p_n:+d} |")
     return 0 if ok and cli_ok else 1
 
 
