@@ -39,10 +39,9 @@ class RunTrace:
     T_eps: int | None  # None when max_iter was exhausted
     total_samples: int
     final_gap: float
-    # (sorted vertex ids, iterate) per visited iteration when requested
-    active_ids: list[tuple[tuple[int, ...], np.ndarray]] | None = field(
-        default=None, repr=False
-    )
+    # One weight row w per record when requested: the iterate is w @ V and
+    # its active vertex ids are w.nonzero()
+    weights: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)

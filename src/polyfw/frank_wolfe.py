@@ -7,11 +7,11 @@ import math
 
 import numpy as np
 
-from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, compute_constants, lyapunov
+from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, lyapunov
 from .errors import DegenerateDirection, InvariantViolation
 from .geometry import Polytope, lmo
 from .objectives import reference_solution
-from .sampling import NoiseModel, SamplePlan, noise_mean_stream, plan_sample_size
+from .sampling import NoiseModel, noise_mean_stream
 
 DROP_TOL = 1e-12
 
@@ -61,16 +61,6 @@ class ActiveSet:
         if total != 1.0:
             w /= total
         self.point = w.dot(self.V)
-
-    def validate(self, tol_sum: float = 1e-10, tol_point: float = 1e-8) -> None:
-        """Check the representation invariants; raises InvariantViolation."""
-        total = self.w.sum()
-        if not abs(total - 1.0) <= tol_sum:
-            raise InvariantViolation(f"weights sum to {total}")
-        if not np.all(self.w >= 0.0):
-            raise InvariantViolation("negative weight")
-        if not np.linalg.norm(self.w @ self.V - self.point) <= tol_point:
-            raise InvariantViolation("point drifted from w @ V")
 
 
 def initial_active_set(P: Polytope) -> ActiveSet:
@@ -171,45 +161,37 @@ def run(
     algorithm: str,
     obj,
     P: Polytope,
+    consts: AnalysisConstants,
     noise: NoiseModel | None,
-    plan: SamplePlan,
-    epsilon: float,
+    n: int,
     max_iter: int,
     rng: np.random.Generator | None,
     *,
-    ref=None,
-    consts: AnalysisConstants | None = None,
-    check_invariants: bool = False,
-    collect_active_ids: bool = False,
+    f_star: float | None = None,
+    collect_weights: bool = False,
 ) -> RunTrace:
-    """Run one algorithm ("standard" or "away") to the stopping time.
+    """Run one algorithm ("standard" or "away") on the epsilon cell of consts
+    to the stopping time.
 
     Stops at the first k with f(x_k) - f* <= epsilon (recorded as T_eps) or
-    after max_iter steps (T_eps = None). The objective is evaluated once per
-    iterate (value and gradient together). Every stepping iteration draws the
-    planned number of gradient samples; mode "exact" uses the true gradient.
+    after max_iter steps (T_eps = None); f* defaults to the reference solve.
+    epsilon, D, L and eps_g are read from consts. The objective is evaluated
+    once per iterate (value and gradient together). Every stepping iteration
+    adds the mean of n gradient samples; n = 0 uses the true gradient.
     The noise means come from noise_mean_stream, which draws gaussian and
     rademacher means from their exact laws in blocks: the estimates equal
     successive estimate_gradient draws from rng, but a caller that reuses rng
     after run sees a stream advanced past the run's last step.
     The good-event flag compares the realized gradient error against
     epsilon/(4D) for the standard algorithm and eps_g * g^T(v - s) for the
-    away-step algorithm. D, L and eps_g come from consts, which must be
-    resolved at this epsilon (default: compute_constants at the default eps_g).
+    away-step algorithm. With collect_weights the trace's weights holds a copy
+    of the active set's weight row w at every iterate, one row per record.
     """
     if algorithm not in ("standard", "away"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if ref is None:
-        ref = reference_solution(obj, P)
-    if consts is None:
-        consts = compute_constants(obj, P, epsilon)
-    elif consts.epsilon != epsilon:
-        raise ValueError(f"consts resolved at epsilon={consts.epsilon}, run at {epsilon}")
-    D, L, eps_g = consts.D, consts.L, consts.eps_g
-    n = plan_sample_size(plan)
-    f_star = ref.f_star
+    if f_star is None:
+        f_star = reference_solution(obj, P).f_star
+    epsilon, D, L, eps_g = consts.epsilon, consts.D, consts.L, consts.eps_g
     gamma = standard_step_size(epsilon, L, D)
     threshold = epsilon / (4.0 * D)
     # Bound once per run: the loop calls these every iterate.
@@ -218,20 +200,15 @@ def run(
 
     active = initial_active_set(P)
     records: list[IterationRecord] = []
-    active_ids: list[tuple[tuple[int, ...], np.ndarray]] = []
+    weights: list[np.ndarray] = []
     total_samples = 0
     T_eps = None
     f_gap = math.inf
 
     for k in range(max_iter + 1):
-        x = active.point
-        if check_invariants:
-            active.validate()
-            if not np.all(P.A @ x <= P.b + 1e-8):
-                raise InvariantViolation("iterate infeasible")
-        if collect_active_ids:
-            active_ids.append((tuple(np.flatnonzero(active.w).tolist()), x.copy()))
-        f, grad = value_and_gradient(x)
+        if collect_weights:
+            weights.append(active.w.copy())
+        f, grad = value_and_gradient(active.point)
         f_gap = f - f_star
         n_k = len(active)
         lyap = lyapunov(algorithm, f_gap, n_k, consts)
@@ -275,5 +252,5 @@ def run(
         T_eps=T_eps,
         total_samples=total_samples,
         final_gap=f_gap,
-        active_ids=active_ids if collect_active_ids else None,
+        weights=np.array(weights) if collect_weights else None,
     )

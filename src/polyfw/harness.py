@@ -62,8 +62,6 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         config_fields("", raw, [f.name for f in dataclasses.fields(cls)])
         problem = need(raw, "", "problem")
-        need(problem, "problem", "polytope")
-        need(problem, "problem", "objective")
         grid = config_float("epsilon_grid", need(raw, "", "epsilon_grid"), 0, above=True, ndim=1)
         eps_g = raw.get("eps_g")
         return cls(
@@ -135,26 +133,34 @@ def problem_from_json(spec: dict, path: str = "problem", require_objective: bool
 
 class _Problem:
     """Problem objects, and the analysis constants and sample plan at each
-    epsilon of the grid, built once from a config and shared across cells."""
+    epsilon of the grid, built once from a config and shared across cells.
+    The sampling spec is read first, so a bad one fails before any polytope
+    work."""
 
     def __init__(self, cfg: ExperimentConfig):
+        plan = plan_from_json(cfg.sampling)
         self.P, self.obj = problem_from_json(cfg.problem)
         self.noise = noise_from_json(cfg.noise, self.P.dim)
         self.ref = reference_solution(self.obj, self.P)
         x0 = initial_active_set(self.P).point
         self.gap0 = self.obj.value(x0) - self.ref.f_star
         self.consts = [compute_constants(self.obj, self.P, e, cfg.eps_g) for e in cfg.epsilon_grid]
-        self.plans = [resolve_plan(cfg, self, c) for c in self.consts]
+        self.plans = [_size_plan(plan, self, c) for c in self.consts]
 
 
 def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstants) -> SamplePlan:
-    """The configured sampling mode at one epsilon, with its n set: a theorem
-    mode's from theorem_sample_size on consts, the noise's V_g and the
-    polytope's dimension. A theorem p_g that rounds to 1 under a
-    bounded-variance mode, a student_t plan above STUDENT_T_MAX_DRAWS values
-    per estimate, and a rademacher n above BINOMIAL_MAX_N raise ConfigError.
+    """The configured sampling mode at one epsilon, with its n set; reads only
+    prob.P and prob.noise."""
+    return _size_plan(plan_from_json(cfg.sampling), prob, consts)
+
+
+def _size_plan(plan: SamplePlan, prob: _Problem, consts: AnalysisConstants) -> SamplePlan:
+    """plan with its n set: a theorem mode's from theorem_sample_size on
+    consts, the noise's V_g and the polytope's dimension. A theorem p_g that
+    rounds to 1 under a bounded-variance mode, a student_t plan above
+    STUDENT_T_MAX_DRAWS values per estimate, and a rademacher n above
+    BINOMIAL_MAX_N raise ConfigError.
     """
-    plan = plan_from_json(cfg.sampling)
     if plan.mode not in ("exact", "fixed"):
         plan = dataclasses.replace(
             plan, n=theorem_sample_size(plan, consts, prob.noise.V_g, prob.P.dim))
@@ -182,8 +188,8 @@ def run_cell(cfg: ExperimentConfig, prob: _Problem, eps_index: int, replication:
     rng = cell_rng(cfg.master_seed, eps_index, replication)
     t0 = time.perf_counter()
     trace = run(
-        cfg.algorithm, prob.obj, prob.P, prob.noise, prob.plans[eps_index], epsilon,
-        cfg.max_iter, rng, ref=prob.ref, consts=prob.consts[eps_index],
+        cfg.algorithm, prob.obj, prob.P, prob.consts[eps_index], prob.noise,
+        plan_sample_size(prob.plans[eps_index]), cfg.max_iter, rng, f_star=prob.ref.f_star,
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     n_steps = good_steps = 0
@@ -287,10 +293,10 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
         for p in per_eps
         if math.isfinite(p.mean_T) and p.mean_T > 0
     ]
-    if len(points) >= 3:
+    try:
         slope, r2 = fit_loglog_slope(points)
-    else:
-        slope, r2 = float("nan"), float("nan")
+    except DegenerateFit:  # fewer than 3 points, or all at one epsilon
+        slope = r2 = float("nan")
     return SummaryStats(
         per_epsilon=per_eps, slope=slope, r2=r2, bound_violations=bound_violations
     )
@@ -316,8 +322,12 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
     cells = [
         (i, r) for i in range(len(cfg.epsilon_grid)) for r in range(cfg.replications)
     ]
+    # The pool forks all its workers at the first submit: never more than
+    # the cells, or the CPUs this process may run on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.workers, len(cells), cpus or 1)
     try:
-        if cfg.workers <= 1 or cfg.save_traces:
+        if workers <= 1 or cfg.save_traces:
             rows = []
             for i, r in cells:
                 row, trace = run_cell(cfg, prob, i, r)
@@ -330,7 +340,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(
-                max_workers=cfg.workers, initializer=_init_worker, initargs=(cfg, prob)
+                max_workers=workers, initializer=_init_worker, initargs=(cfg, prob)
             ) as pool:
                 rows = list(pool.map(_worker, *zip(*cells)))
         summary = summarize(cfg, prob, rows)

@@ -18,6 +18,15 @@ def random_polytope(rng, d, extra):
     return Polytope(A, b)
 
 
+def assert_weight_rows_valid(P, weights):
+    """The active-set invariants on a weight row w, or on every row of a
+    stack of them: the weights sum to 1 to within 1e-10, none is negative,
+    and the iterate w @ V lies in P to within 1e-8."""
+    assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-10)
+    assert np.all(weights >= 0.0)
+    assert np.all((weights @ P.vertices) @ P.A.T <= P.b + 1e-8)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -28,7 +28,7 @@ from polyfw.objectives import QuadraticObjective, reference_solution
 from polyfw.sampling import NoiseModel, SamplePlan, estimate_gradient, theorem_sample_size
 from polyfw.simplex_lp import lmo_simplex_method
 
-from conftest import random_polytope
+from conftest import assert_weight_rows_valid, random_polytope
 
 EPS_GRID = [0.2, 0.1, 0.05, 0.025]
 
@@ -62,13 +62,11 @@ def prob3():
 def exact_traces(prob5):
     """Exact-gradient runs at epsilon = 0.05 shared by criteria 1, 2, 8."""
     obj, P = prob5
-    out = {}
+    out = {"consts": compute_constants(obj, P, 0.05)}
     for algorithm in ("standard", "away"):
         out[algorithm] = run(
-            algorithm, obj, P, None, SamplePlan.exact(), 0.05, 10**6, None,
-            check_invariants=True, collect_active_ids=True,
+            algorithm, obj, P, out["consts"], None, 0, 10**6, None, collect_weights=True,
         )
-    out["consts"] = compute_constants(obj, P, 0.05)
     return out
 
 
@@ -77,6 +75,7 @@ def test_criterion_1_per_iteration_decrease(prob5, exact_traces):
     c = exact_traces["consts"]
     trace = exact_traces["standard"]
     assert trace.T_eps is not None
+    assert_weight_rows_valid(prob5[1], trace.weights)
     worst = -np.inf
     for rec, nxt in zip(trace.records[:-1], trace.records[1:]):
         worst = max(worst, (nxt.f_gap - rec.f_gap) - (-c.beta1 * c.epsilon))
@@ -93,6 +92,7 @@ def test_criterion_2_away_step_contraction(prob5, exact_traces):
     c = exact_traces["consts"]
     trace = exact_traces["away"]
     assert trace.T_eps is not None
+    assert_weight_rows_valid(prob5[1], trace.weights)
     worst_ratio, worst_drop = -np.inf, -np.inf
     for rec, nxt in zip(trace.records[:-1], trace.records[1:]):
         if rec.step_type == "away_drop":
@@ -118,8 +118,7 @@ def test_criterion_3_iteration_bounds(prob5):
     for algorithm in ("standard", "away"):
         for eps in EPS_GRID:
             c = compute_constants(obj, P, eps)
-            trace = run(algorithm, obj, P, None, SamplePlan.exact(), eps, 10**6, None,
-                        ref=ref, consts=c)
+            trace = run(algorithm, obj, P, c, None, 0, 10**6, None, f_star=ref.f_star)
             bound = theorem_bound_mean_T(algorithm, gap0, c)
             if trace.T_eps is None or trace.T_eps > bound:
                 violations.append((algorithm, eps, trace.T_eps, bound))
@@ -188,10 +187,9 @@ def test_criterion_5_good_event_probability(prob3):
         SamplePlan("bounded_variance_standard", params={"p_g": p_g}), c, noise.V_g, P.dim
     )
     # 10 distinct iterates along an exact standard run.
-    trace = run("standard", obj, P, None, SamplePlan.exact(), eps, 10**6, None,
-                collect_active_ids=True)
-    idx = np.linspace(0, len(trace.active_ids) - 1, 10).astype(int)
-    iterates = [trace.active_ids[i][1] for i in idx]
+    trace = run("standard", obj, P, c, None, 0, 10**6, None, collect_weights=True)
+    idx = np.linspace(0, len(trace.weights) - 1, 10).astype(int)
+    iterates = [trace.weights[i] @ P.vertices for i in idx]
     rng = np.random.default_rng(11)
     threshold = eps / (4.0 * c.D)
     good = total = 0
@@ -257,25 +255,29 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_active_set_integrity(prob5, prob3, exact_traces):
-    # The exact runs already executed with check_invariants=True, which
-    # enforces sum(alpha) = 1 +- 1e-10, alpha > 0 and reconstruction error
-    # <= 1e-8 at every iteration; a stochastic away run adds noisy steps.
+    # Every weight row of the exact runs and of a stochastic away run (which
+    # adds noisy steps) sums to 1 +- 1e-10, is nonnegative and gives a
+    # feasible iterate.
     obj3, P3 = prob3
     rng = np.random.default_rng(5)
     noisy = run(
-        "away", obj3, P3, NoiseModel.gaussian(0.3, 3), SamplePlan.fixed(50),
-        0.05, 10**5, rng, check_invariants=True, collect_active_ids=True,
+        "away", obj3, P3, compute_constants(obj3, P3, 0.05), NoiseModel.gaussian(0.3, 3), 50,
+        10**5, rng, collect_weights=True,
     )
     obj5, P5 = prob5
+    for t in ("standard", "away"):
+        assert_weight_rows_valid(P5, exact_traces[t].weights)
+    assert_weight_rows_valid(P3, noisy.weights)
     pool = (
-        [(P5, snap) for t in ("standard", "away") for snap in exact_traces[t].active_ids]
-        + [(P3, snap) for snap in noisy.active_ids]
+        [(P5, w) for t in ("standard", "away") for w in exact_traces[t].weights]
+        + [(P3, w) for w in noisy.weights]
     )
     pick = np.random.default_rng(6).choice(len(pool), size=100, replace=False)
     mismatches = 0
     for i in pick:
-        P, (ids, x) = pool[i]
-        if active_index_set(P, x) != active_index_set_of_vertex_set(P, ids):
+        P, w = pool[i]
+        ids = tuple(w.nonzero()[0].tolist())
+        if active_index_set(P, w @ P.vertices) != active_index_set_of_vertex_set(P, ids):
             mismatches += 1
     ok = mismatches == 0
     report(8, "active-set integrity", ok,

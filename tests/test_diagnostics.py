@@ -9,7 +9,6 @@ from polyfw.errors import DegeneratePolytope, EpsGOutOfRange, InvariantViolation
 from polyfw.frank_wolfe import run
 from polyfw.geometry import Polytope, geometry_constants, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective
-from polyfw.sampling import SamplePlan
 
 
 def interval_problem():
@@ -142,8 +141,8 @@ class TestVerifyTrace:
     def exact_trace(self, algorithm, epsilon):
         obj = QuadraticObjective([1.0, 2.0, 4.0], z=[0.6, 0.3, 0.2])
         P = unit_simplex(3)
-        trace = run(algorithm, obj, P, None, SamplePlan.exact(), epsilon, 10_000, None)
-        return trace, compute_constants(obj, P, epsilon)
+        c = compute_constants(obj, P, epsilon)
+        return run(algorithm, obj, P, c, None, 0, 10_000, None), c
 
     def test_exact_standard_run_has_no_violations(self):
         trace, c = self.exact_trace("standard", 0.05)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyfw
-from conftest import random_polytope
+from conftest import assert_weight_rows_valid, random_polytope
 from polyfw import frank_wolfe
 from polyfw.diagnostics import compute_constants
 from polyfw.errors import DegenerateDirection, InvariantViolation
@@ -24,7 +24,7 @@ from polyfw.frank_wolfe import (
 )
 from polyfw.geometry import Polytope, geometry_constants, lmo, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective, reference_solution
-from polyfw.sampling import NoiseModel, SamplePlan, sample_noise_means
+from polyfw.sampling import NoiseModel, sample_noise_means
 
 
 # unit_box(2) vertices in lexicographic order:
@@ -123,16 +123,14 @@ class TestActiveSet:
         a = ActiveSet(BOX, {0: 0.25, 1: 0.25, 3: 0.5})
         a.apply_away(3, 1.0, at_max=True)  # gamma_max = 0.5/0.5
         assert a.w == pytest.approx(dense({0: 0.5, 1: 0.5}))
-        a.validate()
+        assert_weight_rows_valid(BOX, a.w)
 
-    def test_validate_raises_under_python_O(self):
+    def test_mass_check_raises_under_python_O(self):
         # Runtime checks are not asserts, so python -O keeps them.
         code = (
             "from polyfw.frank_wolfe import ActiveSet\n"
             "from polyfw.geometry import unit_box\n"
-            "a = ActiveSet(unit_box(2), {0: 1.0})\n"
-            "a.w[0] = 0.5\n"
-            "a.validate()\n"
+            "ActiveSet(unit_box(2), {0: 0.1})\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(polyfw.__file__)))
         out = subprocess.run(
@@ -140,7 +138,7 @@ class TestActiveSet:
             capture_output=True, text=True,
         )
         assert out.returncode == 1
-        assert "polyfw.errors.InvariantViolation: weights sum to 0.5" in out.stderr
+        assert "polyfw.errors.InvariantViolation: active-set mass 0.1 lost" in out.stderr
 
     def test_purges_dust(self):
         a = ActiveSet(BOX, {0: 1.0 - 1e-14, 3: 1e-14})
@@ -169,7 +167,8 @@ class TestActiveSet:
         a = ActiveSet(BOX, {0: 1.0})
         for s_id, gamma in steps:
             a.apply_fw(s_id, gamma)
-        a.validate()
+        assert_weight_rows_valid(BOX, a.w)
+        assert np.linalg.norm(a.w @ a.V - a.point) <= 1e-8
         assert np.all(BOX.A @ a.point <= BOX.b + 1e-9)
 
 
@@ -344,7 +343,7 @@ class TestRun:
 
     def test_immediate_stop(self):
         obj, P = self.problem()
-        trace = run("standard", obj, P, None, SamplePlan.exact(), 10.0, 50, None)
+        trace = run("standard", obj, P, compute_constants(obj, P, 10.0), None, 0, 50, None)
         assert trace.T_eps == 0
         assert len(trace.records) == 1
         assert trace.records[0].step_type is None
@@ -354,23 +353,25 @@ class TestRun:
         obj, P = self.problem()
         ref = reference_solution(obj, P)
         trace = run(
-            "standard", obj, P, None, SamplePlan.exact(), 0.05, 10_000, None,
-            check_invariants=True, collect_active_ids=True,
+            "standard", obj, P, compute_constants(obj, P, 0.05), None, 0, 10_000, None,
+            collect_weights=True,
         )
         assert trace.T_eps is not None
         assert trace.final_gap <= 0.05
+        assert_weight_rows_valid(P, trace.weights)
         gaps = [r.f_gap for r in trace.records]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         # Recorded gaps match direct evaluation at the reconstructed iterates.
-        for rec, (_, x) in zip(trace.records, trace.active_ids):
-            assert abs(rec.f_gap - (obj.value(x) - ref.f_star)) <= 1e-12
+        assert len(trace.weights) == len(trace.records)
+        for rec, w in zip(trace.records, trace.weights):
+            assert abs(rec.f_gap - (obj.value(w @ P.vertices) - ref.f_star)) <= 1e-12
         assert all(r.good_event for r in trace.records)  # exact gradients
 
     def test_exact_away_matches_independent_reimplementation(self):
         obj, P = self.problem()
         trace = run(
-            "away", obj, P, None, SamplePlan.exact(), 1e-12, 20, None,
-            collect_active_ids=True,
+            "away", obj, P, compute_constants(obj, P, 1e-12), None, 0, 20, None,
+            collect_weights=True,
         )
         # Oracle: the away-step recursion on a dense weight vector.
         V = P.vertices
@@ -378,10 +379,10 @@ class TestRun:
         _, vid0 = lmo(P, np.ones(3))
         alpha = np.zeros(len(V))
         alpha[vid0] = 1.0
-        for ids, x in trace.active_ids:
+        for w in trace.weights:
             xo = alpha @ V
-            assert np.linalg.norm(x - xo) <= 1e-12
-            assert set(ids) == set(np.nonzero(alpha > 1e-12)[0])
+            assert np.linalg.norm(w @ V - xo) <= 1e-12
+            assert set(w.nonzero()[0]) == set(np.nonzero(alpha > 1e-12)[0])
             g = obj.gradient(xo)
             vals = V @ g
             s_id = int(np.argmin(vals))
@@ -410,8 +411,8 @@ class TestRun:
         monkeypatch.setattr(
             frank_wolfe, "noise_mean_stream", lambda *a: itertools.repeat(np.full(3, 100.0))
         )
-        trace = run("away", obj, P, NoiseModel.gaussian(0.1, 3), SamplePlan.fixed(1),
-                    0.01, 3, None)
+        trace = run("away", obj, P, compute_constants(obj, P, 0.01), NoiseModel.gaussian(0.1, 3),
+                    1, 3, None)
         steps = trace.records[:-1]
         assert [r.step_type for r in steps] == ["idle"] * 3
         assert all(r.gamma == 0.0 and not r.good_event for r in steps)
@@ -445,7 +446,7 @@ class TestRun:
                 frank_wolfe, "noise_mean_stream", lambda *a: itertools.repeat(np.full(3, 100.0))
             )
         obj, P = self.problem()
-        trace = run(algorithm, obj, P, noise, SamplePlan.fixed(n), epsilon, max_iter, rng)
+        trace = run(algorithm, obj, P, compute_constants(obj, P, epsilon), noise, n, max_iter, rng)
         steps = [r.step_type for r in trace.records if r.step_type is not None]
         assert steps and ("idle" in steps) == idle
         assert len(calls) == len(steps) == (max_iter if trace.T_eps is None else trace.T_eps)
@@ -461,22 +462,21 @@ class TestRun:
         self, algorithm, noise, n, monkeypatch
     ):
         obj, P = self.problem()
-        blocked = run(algorithm, obj, P, noise, SamplePlan.fixed(n), 0.01, 2000,
-                      np.random.default_rng(8))
+        consts = compute_constants(obj, P, 0.01)
+        blocked = run(algorithm, obj, P, consts, noise, n, 2000, np.random.default_rng(8))
 
         def one_mean_per_call(noise, n, rng):
             while True:
                 yield sample_noise_means(noise, n, (), rng)
 
         monkeypatch.setattr(frank_wolfe, "noise_mean_stream", one_mean_per_call)
-        single = run(algorithm, obj, P, noise, SamplePlan.fixed(n), 0.01, 2000,
-                     np.random.default_rng(8))
+        single = run(algorithm, obj, P, consts, noise, n, 2000, np.random.default_rng(8))
         assert len(blocked.records) > 2
         assert blocked == single
 
     def test_max_iter_exhaustion(self):
         obj, P = self.problem()
-        trace = run("standard", obj, P, None, SamplePlan.exact(), 1e-8, 3, None)
+        trace = run("standard", obj, P, compute_constants(obj, P, 1e-8), None, 0, 3, None)
         assert trace.T_eps is None
         assert trace.records[-1].step_type is None
         assert trace.records[-1].k == 3
@@ -485,9 +485,10 @@ class TestRun:
         obj, P = self.problem()
         noise = NoiseModel.gaussian(0.1, 3)
         trace = run(
-            "standard", obj, P, noise, SamplePlan.fixed(40), 0.1, 5000, rng,
-            check_invariants=True,
+            "standard", obj, P, compute_constants(obj, P, 0.1), noise, 40, 5000, rng,
+            collect_weights=True,
         )
+        assert_weight_rows_valid(P, trace.weights)
         steps = [r for r in trace.records if r.step_type is not None]
         assert trace.total_samples == 40 * len(steps)
         assert all(r.n_samples == 40 for r in steps)
@@ -497,7 +498,7 @@ class TestRun:
         obj, P = self.problem()
         D = geometry_constants(P).D
         noise = NoiseModel.gaussian(0.5, 3)
-        trace = run("standard", obj, P, noise, SamplePlan.fixed(5), 0.1, 200, rng)
+        trace = run("standard", obj, P, compute_constants(obj, P, 0.1), noise, 5, 200, rng)
         for r in trace.records:
             if r.step_type is not None:
                 assert r.good_event == (r.grad_error <= 0.1 / (4.0 * D))
@@ -505,15 +506,10 @@ class TestRun:
     def test_rejects_bad_arguments(self):
         obj, P = self.problem()
         with pytest.raises(ValueError):
-            run("neither", obj, P, None, SamplePlan.exact(), 0.1, 10, None)
+            run("neither", obj, P, compute_constants(obj, P, 0.1), None, 0, 10, None)
+        # A cell's epsilon reaches run only through its constants.
         with pytest.raises(ValueError):
-            run("standard", obj, P, None, SamplePlan.exact(), -1.0, 10, None)
-
-    def test_rejects_constants_of_another_epsilon(self):
-        obj, P = self.problem()
-        consts = compute_constants(obj, P, 0.2)
-        with pytest.raises(ValueError, match="epsilon"):
-            run("standard", obj, P, None, SamplePlan.exact(), 0.1, 10, None, consts=consts)
+            run("standard", obj, P, compute_constants(obj, P, -1.0), None, 0, 10, None)
 
     @pytest.mark.parametrize("algorithm", ["standard", "away"])
     def test_one_gradient_evaluation_per_step(self, algorithm, rng):
@@ -527,8 +523,8 @@ class TestRun:
         obj.value_and_gradient = lambda x: calls.append(x) or fused(x)
         obj.value = obj.gradient = lambda x: pytest.fail("separate objective evaluation")
         trace = run(
-            algorithm, obj, P, NoiseModel.gaussian(0.1, 3), SamplePlan.fixed(40), 0.1, 5000,
-            rng, ref=ref, consts=consts,
+            algorithm, obj, P, consts, NoiseModel.gaussian(0.1, 3), 40, 5000, rng,
+            f_star=ref.f_star,
         )
         steps = sum(r.step_type is not None for r in trace.records)
         assert steps > 0

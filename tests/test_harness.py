@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfw.cli import main as cli_main
-from polyfw import cli, harness
+from polyfw import cli, geometry, harness
 from polyfw.errors import ConfigError, DegenerateFit, MalformedTrace
 from polyfw.geometry import unit_simplex
 from polyfw.harness import (
@@ -103,15 +103,18 @@ class TestFitLoglogSlope:
 
 
 class TestConfig:
-    def test_missing_fields_report_their_path(self, tmp_path):
+    def test_missing_fields_report_their_path(self, tmp_path, capsys):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict({})
         assert "problem" in str(exc.value)
-        raw = base_config(tmp_path)
+        # The problem's own fields are checked where the problem is built.
+        raw = base_config(tmp_path / "out")
         del raw["problem"]["polytope"]
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig.from_dict(raw)
-        assert "problem.polytope" in str(exc.value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 2
+        assert "config error: problem.polytope" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -229,6 +232,67 @@ class TestRunExperiment:
         own = [float(np.mean(Ts[i * 3 : (i + 1) * 3])) for i in range(3)]
         assert own[0] != own[1]
         assert [p.mean_T for p in summary.per_epsilon] == own
+
+    def test_all_equal_epsilon_grid_writes_nan_slope(self, tmp_path):
+        # Three cells at one epsilon give no log-log slope; the grid still
+        # writes its outputs, with slope and r2 NaN.
+        cfg = ExperimentConfig.from_dict(
+            base_config(tmp_path / "q", epsilon_grid=[0.1, 0.1, 0.1], replications=2,
+                        sampling={"mode": "fixed", "n": 10})
+        )
+        summary = run_experiment(cfg)
+        assert math.isnan(summary.slope) and math.isnan(summary.r2)
+        assert [p.failed for p in summary.per_epsilon] == [0, 0, 0]
+        written = json.loads((tmp_path / "q" / "summary.json").read_text())
+        assert math.isnan(written["slope"]) and math.isnan(written["r2"])
+        assert len((tmp_path / "q" / "runs.csv").read_text().splitlines()) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("affinity, cpus, expected", [
+        (True, 64, 6), (True, 3, 3), (False, 4, 4), (True, 1, None),
+    ], ids=["cells", "affinity", "cpu_count", "serial"])
+    def test_pool_never_exceeds_the_cells_or_the_cpus(self, tmp_path, monkeypatch, affinity,
+                                                      cpus, expected):
+        # The pool forks all of its max_workers processes at the first submit,
+        # so workers = 5000 on a 6-cell grid asks for at most 6. The fake
+        # pool records max_workers and maps in this process.
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness, "_worker_problem", None)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        grid = {"epsilon_grid": [0.4, 0.2], "replications": 3}
+        run_experiment(ExperimentConfig.from_dict(
+            base_config(tmp_path / "pool", workers=5000, **grid)))
+        assert sizes == ([] if expected is None else [expected])
+        run_experiment(ExperimentConfig.from_dict(base_config(tmp_path / "serial", **grid)))
+
+        def stable(d):
+            csv = (tmp_path / d / "runs.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in csv], (
+                tmp_path / d / "summary.json").read_bytes()
+
+        assert stable("pool") == stable("serial")
 
     def test_cell_rng_is_scheduling_independent(self):
         a = cell_rng(7, 1, 2).standard_normal(4)
@@ -904,6 +968,17 @@ class TestCLI:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", str(path)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sampling_typo_exits_2_before_any_polytope_work(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(geometry, "enumerate_vertices",
+                            lambda P: pytest.fail("vertices enumerated before sampling was read"))
+        raw = base_config(tmp_path / "out", sampling={"mode": "fixd", "n": 10})
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 2
+        assert "config error: sampling.mode" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_p_g_rounding_to_one_exits_2_naming_m(self, tmp_path, capsys):
