@@ -4,6 +4,7 @@ full per-iteration traces up to the stopping time."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -93,7 +94,8 @@ def standard_fw_step(
 
 
 def away_fw_step(
-    active: ActiveSet, g: np.ndarray, P: Polytope, L: float, scores: np.ndarray | None = None
+    active: ActiveSet, g: np.ndarray, P: Polytope, L: float, scores: np.ndarray | None = None,
+    curvature: Callable[[np.ndarray], float] | None = None,
 ) -> tuple[ActiveSet, dict]:
     """One away-step Frank-Wolfe update, applied to the given active set in place.
 
@@ -102,7 +104,9 @@ def away_fw_step(
     lmo) and the away vertex v the first maximizer over the active ids
     w.nonzero(), ascending, so ties break to the smallest id. Picks the
     better of the two directions (FW on ties), steps by min(gamma_max,
-    -g.d / (L ||d||^2)) and applies the matching weight-update case. The
+    -g.d / c) and applies the matching weight-update case. The curvature c
+    along d is L ||d||^2, the quadratic upper bound, unless the caller passes
+    curvature(d) (d^T Q d for a quadratic makes the step exact). The
     returned info carries the realized vertices and g^T(v - s), which the
     caller needs for the good-event test. Raises DegenerateDirection, leaving
     the set unchanged, when the chosen direction is numerically zero.
@@ -136,7 +140,8 @@ def away_fw_step(
         raise DegenerateDirection("search direction is numerically zero")
     if not descent >= -1e-12:
         raise InvariantViolation("chosen direction is not a descent direction for g")
-    unclamped = max(0.0, descent) / (L * norm2)
+    c = L * norm2 if curvature is None else curvature(d)
+    unclamped = max(0.0, descent) / c
     at_max = unclamped >= gamma_max
     gamma = gamma_max if at_max else unclamped
 

@@ -240,20 +240,33 @@ def prove_bounded(P: Polytope) -> None:
 
     A row of A that is nonzero only at coordinate i, a x_i <= b, bounds x_i
     above when a > 0 and below when a < 0: it is the dual certificate of
-    that direction, whose LP is skipped (the box needs none). An unbounded
-    coordinate raises ConfigError naming the direction of the ray, the first
-    in order (x_0 below, x_0 above, x_1 below, ...) when several are; an
-    empty polytope raises UnboundedOrEmpty, here from the shared phase one
-    or, when every direction has such a row, from the enumeration that finds
-    no vertex.
+    that direction, whose LP is skipped (the box needs none). When such axis
+    rows leave a direction open, any other row a.x <= b bounds x_i on the
+    side of sign(a_i) if every other coordinate j it touches has the axis
+    row bound that a_i x_i <= b - sum_j a_j x_j needs: x_j bounded below
+    where a_j > 0, above where a_j < 0 (the simplices need no LP either).
+    An unbounded coordinate raises ConfigError naming the direction of the
+    ray, the first in order (x_0 below, x_0 above, x_1 below, ...) when
+    several are; an empty polytope raises UnboundedOrEmpty, here from the
+    shared phase one or, when every direction has a certificate, from the
+    enumeration that finds no vertex.
     """
-    axis_rows = P.A[np.count_nonzero(P.A, axis=1) == 1]
-    cols = axis_rows.nonzero()[1]
-    # (i, s) for each LP, minimize s * x_i, that a row certifies: s = -sign(a).
-    signs = -np.sign(axis_rows[np.arange(len(cols)), cols])
-    certified = set(zip(cols.tolist(), signs.tolist()))
-    # The uncertified directions in order, i ascending and s = 1 before -1.
-    todo = [(i, s) for i in range(P.dim) for s in (1.0, -1.0) if (i, s) not in certified]
+    A = P.A
+    axis = np.count_nonzero(A, axis=1) == 1
+    # bounded[i, 0] (below) and bounded[i, 1] (above): the directions that
+    # an axis row certifies.
+    bounded = np.zeros((P.dim, 2), dtype=bool)
+    cols = A[axis].nonzero()[1]
+    bounded[cols, (A[axis, cols] > 0).astype(int)] = True
+    if not bounded.all():
+        rows = A[~axis]
+        # missing[r, j]: row r needs a bound on x_j that no axis row gives.
+        missing = ((rows > 0) & ~bounded[:, 0]) | ((rows < 0) & ~bounded[:, 1])
+        r, i = np.nonzero((rows != 0) & (missing.sum(axis=1, keepdims=True) == missing))
+        bounded[i, (rows[r, i] > 0).astype(int)] = True
+    # The uncertified directions (i, s), minimize s * x_i, in order: i
+    # ascending and s = 1 (below) before -1 (above).
+    todo = [(int(i), 1.0 - 2.0 * side) for i, side in zip(*np.nonzero(~bounded))]
     if not todo:
         return
     costs = np.zeros((len(todo), P.dim))

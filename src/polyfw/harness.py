@@ -240,10 +240,15 @@ def _format_row(row: dict) -> str:
 
 def theorem_bound_mean_T(algorithm: str, gap0: float, consts: AnalysisConstants) -> float:
     """Supermartingale bound on E[T_eps]: 2(f(x0)-f*) max(8LD^2/eps^2, 4/eps)
-    for the standard algorithm; log(Phi0) (2 + 4/(beta2 eps)) for away."""
+    for the standard algorithm; log(Phi0) (2 + 4/(beta2 eps)) for away.
+    Squares are products, not **, which raises OverflowError past 1e154: at
+    an extreme epsilon the bound overflows to inf (or underflows to 0)."""
     eps = consts.epsilon
     if algorithm == "standard":
-        return 2.0 * gap0 * max(8.0 * consts.L * consts.D**2 / eps**2, 4.0 / eps)
+        eps2 = eps * eps
+        # eps^2 that underflowed to 0 leaves 8 L D^2 / eps^2 above every float.
+        quad = 8.0 * consts.L * (consts.D * consts.D) / eps2 if eps2 else math.inf
+        return 2.0 * gap0 * max(quad, 4.0 / eps)
     log_phi0 = consts.nu * gap0 + (1.0 - consts.nu) * 1.0
     return log_phi0 * (2.0 + 4.0 / (consts.beta2 * eps))
 

@@ -92,16 +92,21 @@ def reference_solution(
     """Certified optimum of the objective over the polytope.
 
     If the unconstrained minimizer z is feasible it is returned outright.
-    Otherwise runs away-step Frank-Wolfe with exact gradients and the
-    quadratic-upper-bound step rule until the duality gap falls below
-    gap_tol * max(1, |f(x)|); that gap is the certificate.
+    Otherwise runs away-step Frank-Wolfe with exact gradients and exact line
+    search, gamma = min(gamma_max, -g.d / d^T Q d), which keeps its linear
+    rate, until the duality gap falls below gap_tol * max(1, |f(x)|); that
+    gap is the certificate.
     """
     from .frank_wolfe import away_fw_step, initial_active_set
 
     if P.contains(obj.z):
         return ReferenceSolution(x_star=obj.z.copy(), f_star=0.0, certified_gap=0.0)
     active = initial_active_set(P)  # stepped in place by away_fw_step
-    V, L, value_and_gradient = P.vertices, obj.L, obj.value_and_gradient
+    V, L, Q, value_and_gradient = P.vertices, obj.L, obj.Q, obj.value_and_gradient
+
+    def curvature(d: np.ndarray) -> float:
+        return float(d.dot(Q).dot(d))
+
     gap = np.inf
     for _ in range(max_iter):
         x = active.point
@@ -110,7 +115,7 @@ def reference_solution(
         gap = float(g.dot(x) - scores.min())
         if gap <= gap_tol * max(1.0, abs(f)):
             return ReferenceSolution(x_star=x.copy(), f_star=f, certified_gap=gap)
-        away_fw_step(active, g, P, L, scores)
+        away_fw_step(active, g, P, L, scores, curvature)
     raise NoConvergence(
         f"reference solve hit {max_iter} iterations; gap {gap:.3e}", achieved_gap=gap
     )

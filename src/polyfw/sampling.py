@@ -214,7 +214,9 @@ def theorem_sample_size(plan: SamplePlan, consts: AnalysisConstants, V_g: float,
     subgaussian_standard: (16 D^2 / (c eps^2)) (2M + 2 + log 2d + log(1/(beta1 eps)))
     subgaussian_away:     (2M + 2 + log 2d - log(beta2 eps)) / (c c1 eps)
 
-    A theorem p_g that rounds to 1 raises ConfigError.
+    A theorem p_g that rounds to 1, or an n that is not finite (an extreme
+    epsilon), raises ConfigError. Squares are products: ** raises
+    OverflowError past 1e154 where a product overflows to inf.
     """
     p, mode = plan.params, plan.mode
     eps, eps_g, D, M, N, omega = (consts.epsilon, consts.eps_g, consts.D, consts.M, consts.N,
@@ -226,20 +228,28 @@ def theorem_sample_size(plan: SamplePlan, consts: AnalysisConstants, V_g: float,
             raise ConfigError("sampling.mode", f"{mode} needs p_g < 1, but p_g = {p_g} at "
                               f"M = {M} and epsilon = {eps} (1 - p_g shrinks like exp(-2M) "
                               f"and rounds to 0)")
-    if mode == "bounded_variance_standard":
-        raw = 16.0 * V_g * D**2 / (eps**2 * (1.0 - p_g))
-    elif mode == "bounded_variance_away":
-        raw = 2.0 * V_g * (2.0 * eps_g * D + 1.0) ** 2 / ((1.0 - p_g) * eps) * (N / omega) ** 2
-    elif mode == "subgaussian_standard":
-        front = 16.0 * D**2 / (p["c"] * eps**2)
-        raw = front * (2.0 * M + 2.0 + math.log(2.0 * d)) + front * math.log(
-            1.0 / (consts.beta1 * eps))
-    elif mode == "subgaussian_away":
-        c1 = subgaussian_c1(consts.mu, eps_g, D, N, omega)
-        raw = (2.0 * M + 2.0 + math.log(2.0 * d) - math.log(consts.beta2 * eps)) / (
-            p["c"] * c1 * eps)
-    else:
-        raise MissingParam(f"mode {mode!r} has no theorem sample size")
+    try:
+        if mode == "bounded_variance_standard":
+            raw = 16.0 * V_g * (D * D) / (eps * eps * (1.0 - p_g))
+        elif mode == "bounded_variance_away":
+            raw = 2.0 * V_g * (2.0 * eps_g * D + 1.0) ** 2 / ((1.0 - p_g) * eps) * (N / omega) ** 2
+        elif mode == "subgaussian_standard":
+            front = 16.0 * (D * D) / (p["c"] * (eps * eps))
+            raw = front * (2.0 * M + 2.0 + math.log(2.0 * d)) + front * math.log(
+                1.0 / (consts.beta1 * eps))
+        elif mode == "subgaussian_away":
+            c1 = subgaussian_c1(consts.mu, eps_g, D, N, omega)
+            raw = (2.0 * M + 2.0 + math.log(2.0 * d) - math.log(consts.beta2 * eps)) / (
+                p["c"] * c1 * eps)
+        else:
+            raise MissingParam(f"mode {mode!r} has no theorem sample size")
+    except (ZeroDivisionError, ValueError):
+        # A product holding eps underflowed to 0, under a division or a log:
+        # the exact n is beyond every float.
+        raw = math.inf
+    if not math.isfinite(raw):
+        raise ConfigError("sampling", f"{mode} plans n = {raw} at epsilon = {eps}, not a "
+                          f"finite sample size")
     return max(1, math.ceil(raw))
 
 

@@ -266,10 +266,14 @@ class TestBoundednessAndCap:
 
     @pytest.mark.parametrize(
         "P, lps, n_vertices",
-        [(unit_box(8), 0, 256), (unit_simplex(3), 3, 4), (rotated_box(4), 8, 16)],
-        ids=["box8", "simplex3", "rotated_box4"],
+        [(unit_box(8), 0, 256), (unit_simplex(3), 0, 4), (probability_simplex(4), 0, 4),
+         (rotated_box(4), 8, 16)],
+        ids=["box8", "simplex3", "probability_simplex4", "rotated_box4"],
     )
     def test_axis_rows_replace_their_lps(self, monkeypatch, P, lps, n_vertices):
+        # Axis rows certify the box; on the simplices 1^T x <= s bounds each
+        # x_i above given the others' axis-row lower bounds. The rotated box
+        # has no axis row and runs all 2d LPs.
         stacks = []
 
         def counted(c, *args):
@@ -282,6 +286,20 @@ class TestBoundednessAndCap:
         # The LPs are the rows of the stacked cost vectors.
         assert sum(len(c) for c in stacks) == lps
         assert len(enumerate_vertices(P)) == n_vertices
+
+    def test_row_certificate_needs_the_other_bounds(self):
+        # x_0 - x_1 <= 1 would bound x_0 above only with x_1 bounded above,
+        # which no axis row gives: the LPs find the ray (1, 1).
+        A, b = [[-1.0, 0.0], [0.0, -1.0], [1.0, -1.0]], [0.0, 0.0, 1.0]
+        with pytest.raises(ConfigError, match=re.escape("x[0] is not bounded above")):
+            enumerate_vertices(Polytope(A, b))
+
+    def test_row_certificates_of_an_empty_polytope(self, monkeypatch):
+        # {x >= 0, 1^T x <= -1}: every direction has a certificate, so no LP
+        # runs, and the enumeration finds no vertex.
+        monkeypatch.setattr(simplex_lp, "solve_lp", lambda *a: pytest.fail("an LP ran"))
+        with pytest.raises(UnboundedOrEmpty):
+            enumerate_vertices(Polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, -1.0]))
 
     def test_subset_cap_fails_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):

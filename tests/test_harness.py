@@ -1030,6 +1030,36 @@ class TestCLI:
                 capsys.readouterr().err
             )
 
+    @pytest.mark.parametrize("grid", [[1e-300, 1e-200, 1e-100], [1e308, 1e307, 1e306], [1e-160]],
+                             ids=["tiny", "huge", "1e-160"])
+    @pytest.mark.parametrize("sampling", [
+        {"mode": "exact"}, {"mode": "fixed", "n": 10},
+        {"mode": "bounded_variance_standard"}, {"mode": "bounded_variance_away"},
+        {"mode": "subgaussian_standard", "params": {"c": 0.5}},
+        {"mode": "subgaussian_away", "params": {"c": 0.5}},
+    ], ids=lambda s: s["mode"])
+    @pytest.mark.parametrize("algorithm", ["standard", "away"])
+    def test_extreme_epsilon_exits_0_or_2_and_leaves_no_output_dir_on_2(
+        self, tmp_path, capsys, grid, sampling, algorithm
+    ):
+        # eps^2 underflows to 0 or overflows here: a planned n that is not
+        # finite is a config error before any cell runs, and the mean-T
+        # bound overflows to inf instead of raising.
+        raw = base_config(
+            tmp_path / "out", problem=CRITERION4_PROBLEM, algorithm=algorithm,
+            noise={"kind": "gaussian", "sigma": 1.0}, sampling=sampling, epsilon_grid=grid,
+            replications=1, max_iter=20,
+        )
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(raw))
+        code = cli_main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert "config error: sampling" in err
+            assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"algorithm": "standard"}))

@@ -1,9 +1,15 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from polyfw import frank_wolfe
 from polyfw.errors import DimensionMismatch
-from polyfw.geometry import Polytope, unit_box, unit_simplex
+from polyfw.geometry import (Polytope, active_index_set, probability_simplex, unit_box,
+                             unit_simplex)
 from polyfw.objectives import (
+    REFERENCE_GAP_TOL,
     QuadraticObjective,
     max_abs_value,
     objective_from_json,
@@ -118,6 +124,82 @@ class TestReferenceSolution:
         ref = reference_solution(obj, P)
         assert np.all(P.A @ ref.x_star <= P.b + 1e-8)
         assert ref.certified_gap <= 1e-10 * max(1.0, abs(ref.f_star))
+
+
+def exact_face_minimum(obj, P, x):
+    """f* in exact rational arithmetic: the KKT point of the objective on the
+    affine hull of the constraints active at x (a maximal independent subset
+    of them), proven optimal over P by a zero Frank-Wolfe gap at every
+    vertex, its value rounded once to a float."""
+    rows = []
+    for i in sorted(active_index_set(P, x)):
+        if np.linalg.matrix_rank(P.A[rows + [i]]) > len(rows):
+            rows.append(i)
+    d, k = P.dim, len(rows)
+    Q = [[Fraction(q) for q in row] for row in obj.Q]
+    z = [Fraction(v) for v in obj.z]
+    A = [[Fraction(a) for a in P.A[i]] for i in rows]
+    # [[Q, A^T], [A, 0]] [x; lambda] = [Q z; b], solved by Gauss-Jordan.
+    K = [Q[r] + [A[j][r] for j in range(k)] + [sum(q * zc for q, zc in zip(Q[r], z))]
+         for r in range(d)]
+    K += [A[j] + [Fraction(0)] * k + [Fraction(P.b[rows[j]])] for j in range(k)]
+    for c in range(d + k):
+        pivot = next(r for r in range(c, d + k) if K[r][c] != 0)
+        K[c], K[pivot] = K[pivot], K[c]
+        K[c] = [v / K[c][c] for v in K[c]]
+        for r in range(d + k):
+            if r != c and K[r][c] != 0:
+                K[r] = [v - K[r][c] * w for v, w in zip(K[r], K[c])]
+    xs = [K[r][-1] for r in range(d)]
+    y = [xc - zc for xc, zc in zip(xs, z)]
+    g = [sum(q * yc for q, yc in zip(row, y)) for row in Q]
+    for a, b in zip(P.A, P.b):
+        assert sum(Fraction(ac) * xc for ac, xc in zip(a, xs)) <= Fraction(b)
+    gx = sum(gc * xc for gc, xc in zip(g, xs))
+    for v in P.vertices:
+        assert sum(gc * Fraction(vc) for gc, vc in zip(g, v)) >= gx
+    return float(sum(yc * gc for yc, gc in zip(y, g)) / 2)
+
+
+AUDIT_BOX = (
+    unit_box(8),
+    QuadraticObjective([1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.75, 4.0],
+                       z=[1.3, -0.3, 0.6, 1.2, -0.2, 0.4, 1.1, 0.5], rotation_seed=5),
+)
+
+
+class TestReferenceAccuracy:
+    @pytest.mark.parametrize("P, obj", [
+        (unit_simplex(3), QuadraticObjective([1.0, 2.0, 4.0], z=[0.8, 0.6, 0.4])),
+        AUDIT_BOX,
+        (probability_simplex(4),
+         QuadraticObjective([1.0, 2.0, 3.0, 5.0], z=[0.9, 0.5, -0.2, 0.3], rotation_seed=3)),
+    ], ids=["corner_simplex3", "audit_box8", "rotated_probability_simplex4"])
+    def test_f_star_within_one_ulp_of_the_exact_kkt_value(self, P, obj):
+        ref = reference_solution(obj, P)
+        exact = exact_face_minimum(obj, P, ref.x_star)
+        assert abs(ref.f_star - exact) <= math.ulp(exact)
+        assert ref.certified_gap <= REFERENCE_GAP_TOL * max(1.0, abs(ref.f_star))
+
+    def test_without_curvature_the_step_is_the_l_rule(self):
+        # Left without curvature, the step is the L ||d||^2 rule that run
+        # steps by: passing that curvature explicitly changes no bit, and the
+        # reference loop driven by it takes its 109 steps to its f* bits on
+        # the audit box (exact line search takes 32, to one ulp below).
+        P, obj = AUDIT_BOX
+        active = frank_wolfe.initial_active_set(P)
+        twin = frank_wolfe.initial_active_set(P)
+        V, L = P.vertices, obj.L
+        for steps in range(1000):
+            f, g = obj.value_and_gradient(active.point)
+            scores = V.dot(g)
+            if g.dot(active.point) - scores.min() <= REFERENCE_GAP_TOL * max(1.0, abs(f)):
+                break
+            frank_wolfe.away_fw_step(active, g, P, L, scores)
+            frank_wolfe.away_fw_step(twin, g, P, L, scores, lambda d: L * float(d.dot(d)))
+            assert active.w.tobytes() == twin.w.tobytes()
+        assert steps == 109
+        assert f == 0.3539998507904596
 
 
 class TestCurvatureConstants:

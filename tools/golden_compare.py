@@ -19,7 +19,11 @@ The checking path gets a second table: at BENCH_SEEDS, each side builds the
 inputs of the `audit` workload with `workloads.Workload`, runs its round
 (the experiment, then `verify` on three traces, `lmo-check` and
 `concentration`), and one row per CLI call says whether its exit code and
-standard output are byte-identical.
+standard output are byte-identical. Where both standard outputs are JSON
+(`verify`, `concentration`), the row also gives the largest relative
+difference over their float fields and whether every other field (ints,
+bools, strings, nulls, keys and list lengths) matches; those two columns
+read `-` for other output.
 
 A third table gives the line count (as `wc -l` counts) of every Python
 module under each side's `src/`, and their totals.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +120,34 @@ def compare(parent: dict, change: dict) -> tuple[bool, float, bool]:
     return same, worst, parent == change
 
 
+def json_diff(p_text: str, c_text: str) -> tuple[float, bool] | None:
+    """(largest relative difference over the float fields, every other field
+    identical) of two JSON texts of one shape; None unless both are JSON."""
+    try:
+        p_doc, c_doc = json.loads(p_text), json.loads(c_text)
+    except json.JSONDecodeError:
+        return None
+    worst, same = 0.0, True
+
+    def walk(p, c):
+        nonlocal worst, same
+        if isinstance(p, float) and isinstance(c, float):
+            if not (p == c or math.isnan(p) and math.isnan(c)):
+                finite = math.isfinite(p) and math.isfinite(c)  # else the difference is inf
+                worst = max(worst, abs(p - c) / max(abs(p), abs(c)) if finite else math.inf)
+        elif isinstance(p, dict) and isinstance(c, dict) and p.keys() == c.keys():
+            for key in p:
+                walk(p[key], c[key])
+        elif isinstance(p, list) and isinstance(c, list) and len(p) == len(c):
+            for p_item, c_item in zip(p, c):
+                walk(p_item, c_item)
+        else:
+            same = same and type(p) is type(c) and p == c
+
+    walk(p_doc, c_doc)
+    return worst, same
+
+
 def src_lines(checkout: str) -> dict[str, int]:
     """Line count of every .py file under checkout/src, keyed by its path there."""
     src = os.path.join(checkout, "src")
@@ -155,14 +188,18 @@ def main() -> int:
     print(f"rule (identical columns, final_gap within {GAP_RTOL:g} relative): "
           f"{'holds' if ok else 'BROKEN'}")
     print()
-    print("| workload | seed | command | exit codes | stdout byte-identical |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| workload | seed | command | exit codes | stdout byte-identical "
+          "| max rel. float diff | other fields identical |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
     cli_ok = True
     for seed, p_round, c_round in zip(BENCH_SEEDS, p_out["cli"], c_out["cli"]):
         for (command, p_code, p_text), (_, c_code, c_text) in zip(p_round, c_round):
             cli_ok = cli_ok and p_code == c_code and p_text == c_text
+            diff = json_diff(p_text, c_text)
+            fields = "| - | - |" if diff is None else (
+                f"| {diff[0]:.2e} | {'yes' if diff[1] else 'no'} |")
             print(f"| {CLI_WORKLOAD} | {seed} | {command} | {p_code}, {c_code} "
-                  f"| {'yes' if p_text == c_text else 'no'} |")
+                  f"| {'yes' if p_text == c_text else 'no'} {fields}")
     cli_ok = cli_ok and [len(r) for r in p_out["cli"]] == [len(r) for r in c_out["cli"]]
     print(f"CLI outputs: {'identical' if cli_ok else 'DIFFER'}")
     print()
