@@ -20,7 +20,6 @@ from .errors import ConfigError, PolyFWError
 from .geometry import lmo, polytope_from_json
 from .harness import (
     ALGORITHMS,
-    CONCENTRATION_MAX_VALUES,
     TRACE_FIELDS,
     ExperimentConfig,
     concentration_experiment,
@@ -28,7 +27,7 @@ from .harness import (
     run_experiment,
     trace_from_json,
 )
-from .sampling import BINOMIAL_MAX_N, STUDENT_T_MAX_DRAWS, noise_from_json
+from .sampling import noise_from_json
 
 
 def _load_json(path: str) -> dict:
@@ -86,15 +85,6 @@ def cmd_concentration(args) -> int:
         raise ConfigError("n_grid", f"must be a nonempty 1-d array of numbers, got {n_grid!r}")
     n_grid = [config_int("n_grid", n, 1) for n in n_grid]
     s_grid = config_float("s_grid", need(spec, "", "s_grid"), 0, above=True, ndim=1).tolist()
-    if trials * P.dim > CONCENTRATION_MAX_VALUES:
-        raise ConfigError("trials", f"{trials} trials x d = {P.dim} draws {trials * P.dim} "
-                          f"values per cell, above the limit of {CONCENTRATION_MAX_VALUES}")
-    if noise.kind == "student_t" and trials * max(n_grid) * P.dim > STUDENT_T_MAX_DRAWS:
-        raise ConfigError("n_grid", f"a student_t cell at n = {max(n_grid)} draws over "
-                          f"{STUDENT_T_MAX_DRAWS} values")
-    if noise.kind == "rademacher" and max(n_grid) > BINOMIAL_MAX_N:
-        raise ConfigError("n_grid", f"rademacher noise at n = {max(n_grid)} is above the "
-                          f"largest binomial n, {BINOMIAL_MAX_N}")
     cells, fits = concentration_experiment(noise, n_grid, s_grid, trials, rng)
     print(json.dumps({"cells": cells, "fits": fits}, indent=2, sort_keys=True))
     return 3 if any(c["violation"] for c in cells) else 0

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import EpsGOutOfRange, InvariantViolation, MalformedTrace
+from .errors import ConfigError, EpsGOutOfRange, InvariantViolation, MalformedTrace
 from .geometry import Polytope, geometry_constants
 from .objectives import QuadraticObjective, max_abs_value
 
@@ -100,6 +100,8 @@ def compute_constants(
     nu = 1.0 / (1.0 + beta2 * epsilon / 2.0)
     delta_S = beta1 * epsilon / 2.0
     delta_A = (beta2 * epsilon / 2.0) / (2.0 + beta2 * epsilon)
+    if delta_A == 0.0:
+        raise ConfigError("epsilon", f"{epsilon} is so small that delta_A underflows to 0")
     if not 0.0 < delta_A < min(nu * beta2 * epsilon - 1.0 + nu, 1.0 - nu) + 1e-15:
         raise InvariantViolation(f"delta_A={delta_A} outside its admissible interval")
 

@@ -9,10 +9,6 @@ class DimensionMismatch(PolyFWError):
     """Array shapes disagree with the problem dimension."""
 
 
-class UnboundedOrEmpty(PolyFWError):
-    """Vertex enumeration found no basic feasible solution."""
-
-
 class EmptyVertexList(PolyFWError):
     """An operation needs the vertex list but it is empty."""
 
@@ -36,10 +32,6 @@ class InfeasiblePoint(PolyFWError):
 
 class UnknownVertexId(PolyFWError):
     """A vertex id does not index the enumerated vertex list."""
-
-
-class DegeneratePolytope(PolyFWError):
-    """D = 0, or every constraint is active at every vertex (phi undefined)."""
 
 
 class InvariantViolation(PolyFWError, ValueError):
@@ -84,3 +76,11 @@ class ConfigError(PolyFWError):
 
 class EpsGOutOfRange(ConfigError):
     """eps_g falls outside the open interval (0, 1/(4D))."""
+
+
+class UnboundedOrEmpty(ConfigError):
+    """The polytope is empty: it has no feasible point, or no basic feasible solution."""
+
+
+class DegeneratePolytope(ConfigError):
+    """D = 0, or every constraint is active at every vertex (phi undefined)."""

@@ -158,7 +158,7 @@ def enumerate_vertices(P: Polytope) -> np.ndarray:
         candidate_rows.append(rows[feasible])
     X = np.concatenate(candidates)
     if not len(X):
-        raise UnboundedOrEmpty("no basic feasible solution found")
+        raise UnboundedOrEmpty("polytope", "no basic feasible solution found")
     X = X[np.lexsort(np.concatenate(candidate_rows).T[::-1])]
     V = X[first_kept(X)]
     return V[np.lexsort(V.T[::-1])]
@@ -283,7 +283,7 @@ def prove_bounded(P: Polytope) -> None:
             f"along {ray}e_{i})",
         ) from None
     except Infeasible as exc:
-        raise UnboundedOrEmpty(f"the polytope is empty ({exc})") from None
+        raise UnboundedOrEmpty("polytope", f"the polytope is empty ({exc})") from None
 
 
 def lmo(P: Polytope, g) -> tuple[np.ndarray, int]:
@@ -340,13 +340,13 @@ def geometry_constants(P: Polytope) -> GeometryConstants:
     N = len(V)
     D = diameter(V)
     if D == 0.0:
-        raise DegeneratePolytope("the polytope is a single point (diameter 0)")
+        raise DegeneratePolytope("polytope", "the polytope is a single point (diameter 0)")
     slack = P.b[None, :] - V @ P.A.T  # (N, m)
     tol_i = FEAS_TOL * (1.0 + np.abs(P.b))
     active = slack <= tol_i[None, :]
     everywhere_active = active.all(axis=0)
     if everywhere_active.all():
-        raise DegeneratePolytope("every constraint is active at every vertex")
+        raise DegeneratePolytope("polytope", "every constraint is active at every vertex")
     positive = slack[~active]
     zeta = float(positive.min())
     phi = float(P.row_norms[~everywhere_active].max())

@@ -27,16 +27,14 @@ from .frank_wolfe import initial_active_set, run
 from .geometry import polytope_from_json
 from .objectives import objective_from_json, reference_solution
 from .sampling import (
-    BINOMIAL_MAX_N,
-    STUDENT_T_MAX_DRAWS,
     NoiseModel,
     SamplePlan,
+    cell_sample_size,
     chebyshev_tail_bound,
+    check_draws,
     noise_from_json,
     plan_from_json,
-    plan_sample_size,
     sample_noise_means,
-    theorem_sample_size,
 )
 
 ALGORITHMS = ("standard", "away")
@@ -132,7 +130,7 @@ def problem_from_json(spec: dict, path: str = "problem", require_objective: bool
 
 
 class _Problem:
-    """Problem objects, and the analysis constants and sample plan at each
+    """Problem objects, and the analysis constants and per-iteration n at each
     epsilon of the grid, built once from a config and shared across cells.
     The sampling spec is read first, so a bad one fails before any polytope
     work."""
@@ -145,35 +143,14 @@ class _Problem:
         x0 = initial_active_set(self.P).point
         self.gap0 = self.obj.value(x0) - self.ref.f_star
         self.consts = [compute_constants(self.obj, self.P, e, cfg.eps_g) for e in cfg.epsilon_grid]
-        self.plans = [_size_plan(plan, self, c) for c in self.consts]
+        self.n_planned = [cell_sample_size(plan, c, self.noise) for c in self.consts]
 
 
 def resolve_plan(cfg: ExperimentConfig, prob: _Problem, consts: AnalysisConstants) -> SamplePlan:
     """The configured sampling mode at one epsilon, with its n set; reads only
-    prob.P and prob.noise."""
-    return _size_plan(plan_from_json(cfg.sampling), prob, consts)
-
-
-def _size_plan(plan: SamplePlan, prob: _Problem, consts: AnalysisConstants) -> SamplePlan:
-    """plan with its n set: a theorem mode's from theorem_sample_size on
-    consts, the noise's V_g and the polytope's dimension. A theorem p_g that
-    rounds to 1 under a bounded-variance mode, a student_t plan above
-    STUDENT_T_MAX_DRAWS values per estimate, and a rademacher n above
-    BINOMIAL_MAX_N raise ConfigError.
-    """
-    if plan.mode not in ("exact", "fixed"):
-        plan = dataclasses.replace(
-            plan, n=theorem_sample_size(plan, consts, prob.noise.V_g, prob.P.dim))
-    n = plan_sample_size(plan)
-    if prob.noise.kind == "student_t" and n * prob.P.dim > STUDENT_T_MAX_DRAWS:
-        raise ConfigError("sampling", f"student_t noise needs n = {n} draws per estimate at "
-                          f"epsilon = {consts.epsilon}, {n * prob.P.dim} values, above the budget "
-                          f"of {STUDENT_T_MAX_DRAWS}")
-    if prob.noise.kind == "rademacher" and n > BINOMIAL_MAX_N:
-        raise ConfigError("sampling.n" if plan.mode == "fixed" else "sampling",
-                          f"rademacher noise needs n = {n} at epsilon = {consts.epsilon}, above "
-                          f"the largest binomial n, {BINOMIAL_MAX_N}")
-    return plan
+    prob.noise."""
+    plan = plan_from_json(cfg.sampling)
+    return dataclasses.replace(plan, n=cell_sample_size(plan, consts, prob.noise))
 
 
 def cell_rng(master_seed: int, eps_index: int, replication: int) -> np.random.Generator:
@@ -189,7 +166,7 @@ def run_cell(cfg: ExperimentConfig, prob: _Problem, eps_index: int, replication:
     t0 = time.perf_counter()
     trace = run(
         cfg.algorithm, prob.obj, prob.P, prob.consts[eps_index], prob.noise,
-        plan_sample_size(prob.plans[eps_index]), cfg.max_iter, rng, f_star=prob.ref.f_star,
+        prob.n_planned[eps_index], cfg.max_iter, rng, f_star=prob.ref.f_star,
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     n_steps = good_steps = 0
@@ -258,7 +235,6 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
     bound_violations = 0
     for i, eps in enumerate(cfg.epsilon_grid):
         consts = prob.consts[i]
-        n_planned = plan_sample_size(prob.plans[i])
         cell_rows = rows[i * cfg.replications : (i + 1) * cfg.replications]
         done = [r for r in cell_rows if r["T_eps"] >= 0]
         failed = len(cell_rows) - len(done)
@@ -274,7 +250,7 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
         per_eps.append(
             PerEpsilonStats(
                 epsilon=eps,
-                n_planned=n_planned,
+                n_planned=prob.n_planned[i],
                 mean_T=mean_T,
                 std_T=float(Ts.std(ddof=1)) if len(Ts) > 1 else 0.0,
                 q50=quantiles[0],
@@ -508,10 +484,15 @@ def concentration_experiment(
     of log-frequency against n (the sub-Gaussian signature).
 
     The noise is additive and state-independent, so exceedances are computed
-    on centered noise means directly.
+    on centered noise means directly. Draws above CONCENTRATION_MAX_VALUES
+    or refused by check_draws raise ConfigError before anything is drawn.
     """
     if trials < 10**3:
         raise ValueError("need at least 1000 trials per cell")
+    if trials * noise.dim > CONCENTRATION_MAX_VALUES:
+        raise ConfigError("trials", f"{trials} trials x d = {noise.dim} draws {trials * noise.dim} "
+                          f"values per cell, above the limit of {CONCENTRATION_MAX_VALUES}")
+    check_draws(noise, max(n_grid, default=0), trials, "n_grid")
     cells = []
     freq_by_s: dict[float, list[tuple[int, float]]] = {float(s): [] for s in s_grid}
     for n in n_grid:

@@ -21,12 +21,12 @@ MEAN_BLOCK_MAX = 256
 # one sample mean takes bounded memory at any n.
 DRAW_CHUNK = 2**22
 
-# Student-t means have no closed-form law and cost n * dim draws each; a plan
-# that asks for more values than this per estimate is a config error.
+# Student-t means have no closed-form law and cost n * dim draws each; a plan or
+# concentration cell that draws more values in one call is a config error (check_draws).
 STUDENT_T_MAX_DRAWS = 10**8
 
-# Largest n Generator.binomial takes (its n is a C long); a rademacher plan
-# above it is a config error.
+# Largest n Generator.binomial takes (its n is a C long); a rademacher n
+# above it is a config error (check_draws).
 BINOMIAL_MAX_N = 2**63 - 1
 
 NOISE_KINDS = ("gaussian", "student_t", "rademacher")
@@ -255,12 +255,35 @@ def theorem_sample_size(plan: SamplePlan, consts: AnalysisConstants, V_g: float,
 
 def plan_sample_size(plan: SamplePlan) -> int:
     """The plan's per-iteration sample size: 0 for "exact", else its n, given
-    for "fixed" and set from theorem_sample_size for the theorem modes."""
+    for "fixed" and set from cell_sample_size for the theorem modes."""
     if plan.mode == "exact":
         return 0
     if plan.n is None or plan.n < 1:
         raise MissingParam(f"mode {plan.mode!r} needs a resolved n >= 1, got {plan.n!r}")
     return int(plan.n)
+
+
+def cell_sample_size(plan: SamplePlan, consts: AnalysisConstants, noise: NoiseModel) -> int:
+    """The per-iteration n of a parsed plan at consts.epsilon, in every mode:
+    plan_sample_size's for "exact" and "fixed", else theorem_sample_size's at
+    the noise's V_g and dimension; check_draws names sampling.n or sampling."""
+    if plan.mode in ("exact", "fixed"):
+        return check_draws(noise, plan_sample_size(plan), 1, "sampling.n")
+    n = theorem_sample_size(plan, consts, noise.V_g, noise.dim)
+    return check_draws(noise, n, 1, "sampling", f" at epsilon = {consts.epsilon}")
+
+
+def check_draws(noise: NoiseModel, n: int, count: int, path: str, at: str = "") -> int:
+    """n, if sample_noise_means can draw count means of n: a rademacher n up to
+    BINOMIAL_MAX_N, student-t count * n * d up to STUDENT_T_MAX_DRAWS values
+    (gaussian means take any n). Else ConfigError at path, its message ending in at."""
+    if noise.kind == "rademacher" and n > BINOMIAL_MAX_N:
+        raise ConfigError(path, f"rademacher noise at n = {n} is above the largest binomial "
+                          f"n, {BINOMIAL_MAX_N}{at}")
+    if noise.kind == "student_t" and count * n * noise.dim > STUDENT_T_MAX_DRAWS:
+        raise ConfigError(path, f"student_t noise at n = {n} draws {count * n * noise.dim} "
+                          f"values, above the budget of {STUDENT_T_MAX_DRAWS}{at}")
+    return n
 
 
 def calibrate_subgaussian_c(

@@ -70,7 +70,7 @@ def enumerate_by_loop(P):
     its row norms, pairwise dedup."""
     A, b, d, m = P.A, P.b, P.dim, P.n_constraints
     if m < d:
-        raise UnboundedOrEmpty(f"need at least d={d} constraints, got m={m}")
+        raise UnboundedOrEmpty("polytope", f"need at least d={d} constraints, got m={m}")
     candidates = []
     for rows in loop_bases(P):
         sub = A[rows]
@@ -90,7 +90,7 @@ def enumerate_by_loop(P):
         if np.all(A @ x <= b + 1e-9):
             candidates.append(x)
     if not candidates:
-        raise UnboundedOrEmpty("no basic feasible solution found")
+        raise UnboundedOrEmpty("polytope", "no basic feasible solution found")
     kept = []
     for x in candidates:
         if all(np.linalg.norm(x - y) > geometry.DEDUP_TOL for y in kept):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfw.cli import main as cli_main
-from polyfw import cli, geometry, harness
+from polyfw import geometry, harness
 from polyfw.errors import ConfigError, DegenerateFit, MalformedTrace
 from polyfw.geometry import unit_simplex
 from polyfw.harness import (
@@ -30,7 +30,7 @@ from polyfw.harness import (
     trace_from_json,
 )
 from polyfw.objectives import QuadraticObjective
-from polyfw.sampling import NoiseModel, plan_sample_size
+from polyfw.sampling import NoiseModel
 
 BOX3_A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
@@ -579,6 +579,22 @@ class TestCLI:
         assert float(lines[1].split()[1]) == round(summary.per_epsilon[0].mean_T, 2)
         assert lines[3] == f"slope nan (r2 nan), bound violations {summary.bound_violations}"
 
+    def test_summarize_counts_a_bound_violation_and_report_prints_it(self, tmp_path, capsys):
+        # A mean T_eps above the E[T] bound at one epsilon is one violation.
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path / "viol", replications=2))
+        prob = harness._Problem(cfg)
+        bound = harness.theorem_bound_mean_T(cfg.algorithm, prob.gap0, prob.consts[1])
+        rows = [{"T_eps": math.ceil(bound) + 1 if i == 1 else 3, "total_samples": 0,
+                 "good_steps": 1, "n_steps": 1} for i in range(3) for _ in range(2)]
+        summary = harness.summarize(cfg, prob, rows)
+        assert [p.mean_T > p.bound_mean_T for p in summary.per_epsilon] == [False, True, False]
+        assert summary.bound_violations == 1
+        os.makedirs(cfg.output_dir)
+        with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
+            json.dump(summary.to_json(), fh)
+        assert cli_main(["report", cfg.output_dir]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith("bound violations 1")
+
     @pytest.mark.parametrize(
         "damage, field",
         [
@@ -618,8 +634,9 @@ class TestCLI:
         self, tmp_path, capsys, monkeypatch
     ):
         # 10^10 trials x d = 8 would be 8e10 values (~600 GB) in one array.
+        # concentration_experiment checks the limit before its first draw.
         monkeypatch.setattr(
-            cli, "concentration_experiment",
+            harness, "sample_noise_means",
             lambda *a, **k: pytest.fail("drew samples past the trials limit"),
         )
         spec = concentration_spec()
@@ -635,7 +652,8 @@ class TestCLI:
         # Exactly at the limit the config is accepted.
         spec["trials"] = CONCENTRATION_MAX_VALUES // 8
         path.write_text(json.dumps(spec))
-        monkeypatch.setattr(cli, "concentration_experiment", lambda *a, **k: ([], []))
+        monkeypatch.setattr(harness, "sample_noise_means",
+                            lambda noise, n, size, rng: np.zeros((1, noise.dim)))
         assert cli_main(["concentration", str(path)]) == 0
 
     def test_concentration_command(self, tmp_path):
@@ -667,10 +685,12 @@ class TestCLI:
             ({"noise": "gaussian"}, "noise: must be an object"),
             ({"problem": None}, "problem: missing"),
             ({"noise": {"kind": "student_t", "dof": 5, "scale": 1.0}, "n_grid": [1e12]},
-             "n_grid: a student_t cell at n = 1000000000000 draws over 100000000 values"),
+             "n_grid: student_t noise at n = 1000000000000 draws 3000000000000000 values, "
+             "above the budget of 100000000"),
             # 1500 trials x 40,000 draws x d = 2 is 1.2e8 values: just over the budget.
             ({"noise": {"kind": "student_t", "dof": 5, "scale": 1.0}, "n_grid": [10, 40000]},
-             "n_grid: a student_t cell at n = 40000 draws over"),
+             "n_grid: student_t noise at n = 40000 draws 120000000 values, above the budget "
+             "of 100000000"),
             # Generator.binomial takes n up to 2**63 - 1; 1e20 used to raise OverflowError.
             ({"noise": {"kind": "rademacher", "scale": 1.0}, "n_grid": [4, 1e20]},
              "n_grid: rademacher noise at n = 100000000000000000000 is above"),
@@ -1026,12 +1046,14 @@ class TestCLI:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", str(path)]) == code
         if code == 2:
-            assert f"config error: sampling.n: rademacher noise needs n = {n}" in (
+            assert f"config error: sampling.n: rademacher noise at n = {n} is above" in (
                 capsys.readouterr().err
             )
 
-    @pytest.mark.parametrize("grid", [[1e-300, 1e-200, 1e-100], [1e308, 1e307, 1e306], [1e-160]],
-                             ids=["tiny", "huge", "1e-160"])
+    @pytest.mark.parametrize("grid, field", [
+        ([1e-300, 1e-200, 1e-100], "sampling"), ([1e308, 1e307, 1e306], "sampling"),
+        ([1e-160], "sampling"), ([1e-320], "epsilon"), ([5e-324], "epsilon"),
+    ], ids=["tiny", "huge", "1e-160", "1e-320", "5e-324"])
     @pytest.mark.parametrize("sampling", [
         {"mode": "exact"}, {"mode": "fixed", "n": 10},
         {"mode": "bounded_variance_standard"}, {"mode": "bounded_variance_away"},
@@ -1040,11 +1062,12 @@ class TestCLI:
     ], ids=lambda s: s["mode"])
     @pytest.mark.parametrize("algorithm", ["standard", "away"])
     def test_extreme_epsilon_exits_0_or_2_and_leaves_no_output_dir_on_2(
-        self, tmp_path, capsys, grid, sampling, algorithm
+        self, tmp_path, capsys, grid, field, sampling, algorithm
     ):
         # eps^2 underflows to 0 or overflows here: a planned n that is not
         # finite is a config error before any cell runs, and the mean-T
-        # bound overflows to inf instead of raising.
+        # bound overflows to inf instead of raising. At 1e-320 and below,
+        # delta_A underflows to 0 in every mode: epsilon itself is refused.
         raw = base_config(
             tmp_path / "out", problem=CRITERION4_PROBLEM, algorithm=algorithm,
             noise={"kind": "gaussian", "sigma": 1.0}, sampling=sampling, epsilon_grid=grid,
@@ -1056,9 +1079,30 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code in (0, 2), err
         assert "Traceback" not in err
+        if field == "epsilon":
+            assert code == 2
         if code == 2:
-            assert "config error: sampling" in err
+            assert f"config error: {field}" in err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("polytope, message", [
+        # Infeasible in prove_bounded's phase one.
+        ({"A": [[1, -1], [-1, 1]], "b": [-1, -1]}, "the polytope is empty (phase one"),
+        # Both directions certified by axis rows: enumeration finds no vertex.
+        ({"A": [[1], [-1]], "b": [-1, -1]}, "no basic feasible solution found"),
+        ({"A": [[1], [-1]], "b": [0, 0]}, "the polytope is a single point"),
+    ], ids=["empty_phase_one", "empty_no_vertex", "single_point"])
+    def test_empty_or_single_point_polytope_exits_2_naming_polytope(self, tmp_path, capsys,
+                                                                   polytope, message):
+        d = len(polytope["A"][0])
+        objective = {"eigenvalues": [1.0] * d, "z": [0.0] * d}
+        raw = base_config(tmp_path / "out", problem={"polytope": polytope,
+                                                     "objective": objective})
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 2
+        assert f"config error: polytope: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1141,10 +1185,9 @@ def _benchmark_workloads():
 def test_benchmark_plans_through_the_library_api(tmp_path):
     # The benchmark's set-up probe plans n through resolve_plan with a holder
     # of the polytope and noise only, and plan_sample_size from polyfw: both
-    # must give the sizes the harness runs with.
+    # must give the per-epsilon n the harness runs with.
     workloads = _benchmark_workloads()
     for name in workloads.WORKLOADS:
         raw = workloads.experiment_config(name, 1, str(tmp_path))
         prob = harness._Problem(ExperimentConfig.from_dict(raw))
-        planned = [plan_sample_size(p) for p in prob.plans]
-        assert workloads.build_problem(raw)["n_planned"] == planned, name
+        assert workloads.build_problem(raw)["n_planned"] == prob.n_planned, name

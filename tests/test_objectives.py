@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polyfw import frank_wolfe
-from polyfw.errors import DimensionMismatch
+from polyfw.errors import DimensionMismatch, NoConvergence
 from polyfw.geometry import (Polytope, active_index_set, probability_simplex, unit_box,
                              unit_simplex)
 from polyfw.objectives import (
@@ -117,6 +117,19 @@ class TestReferenceSolution:
         assert abs(ref.f_star - best_val) <= 1e-8
         assert np.linalg.norm(ref.x_star - best) <= 1e-4
         assert ref.f_star - best_val <= ref.certified_gap + 1e-8
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_iteration_cap_raises_no_convergence_with_the_last_gap(self, max_iter):
+        obj = QuadraticObjective([1.0, 2.0, 4.0], z=[0.8, 0.6, 0.4])
+        P = unit_simplex(3)
+        with pytest.raises(NoConvergence, match=f"hit {max_iter} iterations") as exc:
+            reference_solution(obj, P, max_iter=max_iter)
+        if max_iter == 1:
+            # The one gap computed is the starting vertex's Frank-Wolfe gap.
+            x0 = frank_wolfe.initial_active_set(P).point
+            g = obj.gradient(x0)
+            assert exc.value.achieved_gap == pytest.approx(g @ x0 - (P.vertices @ g).min())
+        assert 0.0 < exc.value.achieved_gap < math.inf
 
     def test_certificate_and_feasibility(self, rng):
         P = random_polytope(rng, 3, extra=2)

@@ -15,8 +15,12 @@ from polyfw.sampling import (
     MEAN_BLOCK_MAX,
     NoiseModel,
     SamplePlan,
+    BINOMIAL_MAX_N,
+    STUDENT_T_MAX_DRAWS,
     calibrate_subgaussian_c,
+    cell_sample_size,
     chebyshev_tail_bound,
+    check_draws,
     estimate_gradient,
     noise_mean_stream,
     plan_sample_size,
@@ -404,6 +408,52 @@ class TestPlanner:
     def test_at_least_one_sample(self):
         consts = consts_at(1.0, D=1.0)
         assert theorem_n("bounded_variance_standard", {"p_g": 0.1}, consts, V_g=1e-12) == 1
+
+
+class TestCellSampleSize:
+    @pytest.mark.parametrize("plan", [
+        SamplePlan.exact(), SamplePlan.fixed(17),
+        SamplePlan("bounded_variance_standard", params={"p_g": 0.5}),
+        SamplePlan("bounded_variance_away", params={"p_g": 0.5}),
+        SamplePlan("subgaussian_standard", params={"c": 0.5}),
+        SamplePlan("subgaussian_away", params={"c": 0.5}),
+    ], ids=lambda plan: plan.mode)
+    def test_every_mode(self, plan):
+        consts, noise = consts_at(0.1), NoiseModel.gaussian(2.0, 3)
+        expected = {"exact": 0, "fixed": 17}.get(plan.mode)
+        if expected is None:
+            expected = theorem_sample_size(plan, consts, noise.V_g, noise.dim)
+        assert cell_sample_size(plan, consts, noise) == expected
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t", "rademacher"])
+    def test_exact_draws_nothing_under_every_noise(self, kind):
+        noise = NoiseModel(kind=kind, dim=3, sigma=1.0, scale=1.0, dof=5)
+        assert cell_sample_size(SamplePlan.exact(), consts_at(0.1), noise) == 0
+
+    def test_theorem_n_above_the_rule_names_sampling_and_epsilon(self):
+        plan = SamplePlan("bounded_variance_standard", params={"p_g": 0.5})
+        noise = NoiseModel.student_t(5, 100.0, 3)
+        with pytest.raises(ConfigError, match=r"^sampling: student_t noise at n = \d+ .* at "
+                                              r"epsilon = 0\.1$"):
+            cell_sample_size(plan, consts_at(0.1), noise)
+
+
+class TestCheckDraws:
+    def test_rademacher_n_up_to_the_binomial_range(self):
+        noise = NoiseModel.rademacher(1.0, 4)
+        assert check_draws(noise, BINOMIAL_MAX_N, 10**6, "n_grid") == BINOMIAL_MAX_N
+        with pytest.raises(ConfigError, match="^n_grid: rademacher noise at n = "):
+            check_draws(noise, BINOMIAL_MAX_N + 1, 1, "n_grid")
+
+    def test_student_t_count_n_d_up_to_the_budget(self):
+        # 4 means of n = 5e6 in d = 5 are exactly the budget of 1e8 values.
+        noise = NoiseModel.student_t(5, 1.0, 5)
+        assert check_draws(noise, STUDENT_T_MAX_DRAWS // 20, 4, "sampling.n") == 5 * 10**6
+        with pytest.raises(ConfigError, match="100000020 values, above the budget"):
+            check_draws(noise, STUDENT_T_MAX_DRAWS // 20 + 1, 4, "sampling.n")
+
+    def test_gaussian_means_take_any_n(self):
+        assert check_draws(NoiseModel.gaussian(1.0, 3), 10**30, 10**6, "sampling") == 10**30
 
 
 def test_subgaussian_c1_hand_value():
