@@ -35,11 +35,13 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    records: list[IterationRecord]
+    records: list[IterationRecord] | None  # None when the run kept no records
     T_eps: int | None  # None when max_iter was exhausted
     total_samples: int
     final_gap: float
-    # One weight row w per record when requested: the iterate is w @ V and
+    n_steps: int  # stepping iterations, one per record but the last
+    good_steps: int  # those among them with a good event
+    # One weight row w per iterate when requested: the iterate is w @ V and
     # its active vertex ids are w.nonzero()
     weights: np.ndarray | None = field(default=None, repr=False)
 
@@ -130,12 +132,17 @@ def _exp_ratio(top: float, num: float, *den: float) -> float:
     return (t - math.expm1(num)) / (t - max(math.expm1(x) for x in den))
 
 
-def lyapunov(kind: str, f_gap: float, active_size: int, consts: AnalysisConstants) -> float:
-    """Exponential potential: exp(gap) for the standard algorithm,
-    exp(nu * gap + (1 - nu) * active_size) for the away-step algorithm. Gaps
-    down to -1e-12 are rounding noise around f*; below that they raise."""
+def check_gap(f_gap: float) -> None:
+    """Gaps down to -1e-12 are rounding noise around f*; below that they raise."""
     if not f_gap >= -1e-12:
         raise InvariantViolation(f"negative optimality gap {f_gap}")
+
+
+def lyapunov(kind: str, f_gap: float, active_size: int, consts: AnalysisConstants) -> float:
+    """Exponential potential: exp(gap) for the standard algorithm,
+    exp(nu * gap + (1 - nu) * active_size) for the away-step algorithm, for
+    a gap that passes check_gap."""
+    check_gap(f_gap)
     if kind == "standard":
         return math.exp(f_gap)
     if kind == "away":

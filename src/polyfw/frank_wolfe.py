@@ -1,5 +1,6 @@
-"""Standard and away-step Frank-Wolfe loops with active-set bookkeeping and
-full per-iteration traces up to the stopping time."""
+"""Standard and away-step Frank-Wolfe loops with active-set bookkeeping,
+run to the stopping time: O(1) counters by default, per-iteration records
+on request."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, lyapunov
+from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, check_gap, lyapunov
 from .errors import DegenerateDirection, InvariantViolation
 from .geometry import Polytope, lmo
 from .objectives import reference_solution
@@ -173,6 +174,7 @@ def run(
     rng: np.random.Generator | None,
     *,
     f_star: float | None = None,
+    record: bool = False,
     collect_weights: bool = False,
 ) -> RunTrace:
     """Run one algorithm ("standard" or "away") on the epsilon cell of consts
@@ -189,11 +191,16 @@ def run(
     after run sees a stream advanced past the run's last step.
     The good-event flag compares the realized gradient error against
     epsilon/(4D) for the standard algorithm and eps_g * g^T(v - s) for the
-    away-step algorithm. With collect_weights the trace's weights holds a copy
-    of the active set's weight row w at every iterate, one row per record.
+    away-step algorithm. The trace counts steps and good steps; only with
+    record does it keep one IterationRecord per iterate (records is None
+    otherwise), and every iterate's gap passes check_gap either way. With
+    collect_weights the trace's weights holds a copy of the active set's
+    weight row w at every iterate.
     """
     if algorithm not in ("standard", "away"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if f_star is None:
         f_star = reference_solution(obj, P).f_star
     epsilon, D, L, eps_g = consts.epsilon, consts.D, consts.L, consts.eps_g
@@ -204,9 +211,9 @@ def run(
     next_mean = noise_mean_stream(noise, n, rng).__next__ if n else None
 
     active = initial_active_set(P)
-    records: list[IterationRecord] = []
+    records: list[IterationRecord] | None = [] if record else None
     weights: list[np.ndarray] = []
-    total_samples = 0
+    good_steps = total_samples = 0
     T_eps = None
     f_gap = math.inf
 
@@ -215,14 +222,18 @@ def run(
             weights.append(active.w.copy())
         f, grad = value_and_gradient(active.point)
         f_gap = f - f_star
-        n_k = len(active)
-        lyap = lyapunov(algorithm, f_gap, n_k, consts)
+        if record:
+            n_k = len(active)
+            lyap = lyapunov(algorithm, f_gap, n_k, consts)
+        else:
+            check_gap(f_gap)
 
         # Records are built positionally, in IterationRecord's field order
         # (k, step_type, gamma, gamma_max, n_samples, grad_error, good_event,
         # f_gap, active_size, lyapunov): cheaper than the keyword call.
         if f_gap <= epsilon or k == max_iter:
-            records.append(IterationRecord(k, None, 0.0, 0.0, 0, 0.0, True, f_gap, n_k, lyap))
+            if record:
+                records.append(IterationRecord(k, None, 0.0, 0.0, 0, 0.0, True, f_gap, n_k, lyap))
             if f_gap <= epsilon:
                 T_eps = k
             break
@@ -246,16 +257,20 @@ def run(
                 # the iterate is stationary for this estimate, so idle.
                 info = {"step_type": "idle", "gamma": 0.0, "gamma_max": 1.0, "g_vs": 0.0}
             good = grad_error <= eps_g * info["g_vs"]
+        good_steps += good
 
-        records.append(IterationRecord(
-            k, info["step_type"], info["gamma"], info["gamma_max"], n, grad_error, good,
-            f_gap, n_k, lyap,
-        ))
+        if record:
+            records.append(IterationRecord(
+                k, info["step_type"], info["gamma"], info["gamma_max"], n, grad_error, good,
+                f_gap, n_k, lyap,
+            ))
 
     return RunTrace(
         records=records,
         T_eps=T_eps,
         total_samples=total_samples,
         final_gap=f_gap,
+        n_steps=k,  # the loop leaves through its break, after k steps
+        good_steps=good_steps,
         weights=np.array(weights) if collect_weights else None,
     )

@@ -39,6 +39,10 @@ from .sampling import (
 
 ALGORITHMS = ("standard", "away")
 CSV_HEADER = "epsilon,replication,T_eps,total_samples,good_event_rate,final_gap,wall_ms"
+# Most records one saved trace may hold; a run keeps max_iter + 1 at worst.
+# A record takes 250-300 B in memory, and writing it ~840 B more at the peak
+# (its dict copy and its ~250 B of JSON): ~1.2 GB at the limit.
+TRACE_MAX_RECORDS = 2**20
 
 
 @dataclass
@@ -62,7 +66,7 @@ class ExperimentConfig:
         problem = need(raw, "", "problem")
         grid = config_float("epsilon_grid", need(raw, "", "epsilon_grid"), 0, above=True, ndim=1)
         eps_g = raw.get("eps_g")
-        return cls(
+        cfg = cls(
             problem=problem,
             algorithm=config_choice("algorithm", need(raw, "", "algorithm"), ALGORITHMS),
             noise=need(raw, "", "noise"),
@@ -76,6 +80,11 @@ class ExperimentConfig:
             workers=config_int("workers", raw.get("workers", 1), 1),
             save_traces=config_type("save_traces", raw.get("save_traces", False), bool),
         )
+        if cfg.save_traces and cfg.max_iter >= TRACE_MAX_RECORDS:
+            raise ConfigError("max_iter", f"{cfg.max_iter} lets a saved trace hold "
+                              f"{cfg.max_iter + 1} records, above the limit of "
+                              f"{TRACE_MAX_RECORDS} with save_traces")
+        return cfg
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -167,23 +176,19 @@ def run_cell(cfg: ExperimentConfig, prob: _Problem, eps_index: int, replication:
     trace = run(
         cfg.algorithm, prob.obj, prob.P, prob.consts[eps_index], prob.noise,
         prob.n_planned[eps_index], cfg.max_iter, rng, f_star=prob.ref.f_star,
+        record=cfg.save_traces,
     )
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
-    n_steps = good_steps = 0
-    for r in trace.records:
-        if r.step_type is not None:
-            n_steps += 1
-            good_steps += r.good_event
     row = {
         "epsilon": epsilon,
         "replication": replication,
         "T_eps": trace.T_eps if trace.T_eps is not None else -1,
         "total_samples": trace.total_samples,
-        "good_event_rate": good_steps / n_steps if n_steps else 1.0,
+        "good_event_rate": trace.good_steps / trace.n_steps if trace.n_steps else 1.0,
         "final_gap": trace.final_gap,
         "wall_ms": wall_ms,
-        "good_steps": good_steps,
-        "n_steps": n_steps,
+        "good_steps": trace.good_steps,
+        "n_steps": trace.n_steps,
     }
     return row, trace
 
@@ -441,7 +446,8 @@ def trace_from_json(data: dict) -> RunTrace:
         raise MalformedTrace(str(exc)) from None
     _check_header(records, T_eps, total_samples, final_gap)
     return RunTrace(
-        records=records, T_eps=T_eps, total_samples=total_samples, final_gap=final_gap
+        records=records, T_eps=T_eps, total_samples=total_samples, final_gap=final_gap,
+        n_steps=len(records) - 1, good_steps=sum(rec.good_event for rec in records[:-1]),
     )
 
 
@@ -488,7 +494,7 @@ def concentration_experiment(
     or refused by check_draws raise ConfigError before anything is drawn.
     """
     if trials < 10**3:
-        raise ValueError("need at least 1000 trials per cell")
+        raise ConfigError("trials", f"must be >= 1000, got {trials}")
     if trials * noise.dim > CONCENTRATION_MAX_VALUES:
         raise ConfigError("trials", f"{trials} trials x d = {noise.dim} draws {trials * noise.dim} "
                           f"values per cell, above the limit of {CONCENTRATION_MAX_VALUES}")

@@ -65,7 +65,8 @@ def exact_traces(prob5):
     out = {"consts": compute_constants(obj, P, 0.05)}
     for algorithm in ("standard", "away"):
         out[algorithm] = run(
-            algorithm, obj, P, out["consts"], None, 0, 10**6, None, collect_weights=True,
+            algorithm, obj, P, out["consts"], None, 0, 10**6, None, record=True,
+            collect_weights=True,
         )
     return out
 

@@ -142,7 +142,7 @@ class TestVerifyTrace:
         obj = QuadraticObjective([1.0, 2.0, 4.0], z=[0.6, 0.3, 0.2])
         P = unit_simplex(3)
         c = compute_constants(obj, P, epsilon)
-        return run(algorithm, obj, P, c, None, 0, 10_000, None), c
+        return run(algorithm, obj, P, c, None, 0, 10_000, None, record=True), c
 
     def test_exact_standard_run_has_no_violations(self):
         trace, c = self.exact_trace("standard", 0.05)
@@ -165,7 +165,7 @@ class TestVerifyTrace:
                 record(0, "fw", 2.0, math.exp(2.0)),
                 record(1, None, 1.95, math.exp(1.95)),  # only 0.05 decrease
             ],
-            T_eps=None, total_samples=0, final_gap=1.95,
+            T_eps=None, total_samples=0, final_gap=1.95, n_steps=1, good_steps=1,
         )
         rep = verify_trace(trace, c, "standard")
         assert not rep.passed and len(rep.violations) == 1
@@ -180,7 +180,7 @@ class TestVerifyTrace:
                 record(0, "away_drop", 2.0, math.exp(2.0)),
                 record(1, None, 2.0 + 1e-6, math.exp(2.0 + 1e-6)),
             ],
-            T_eps=None, total_samples=0, final_gap=2.0 + 1e-6,
+            T_eps=None, total_samples=0, final_gap=2.0 + 1e-6, n_steps=1, good_steps=1,
         )
         rep = verify_trace(trace, c, "away")
         assert not rep.passed and len(rep.violations) == 1
@@ -194,7 +194,7 @@ class TestVerifyTrace:
                 record(0, "fw", 2.0, math.exp(2.0), good=False),  # no decrease, bad
                 record(1, None, 2.0, math.exp(2.0)),
             ],
-            T_eps=None, total_samples=0, final_gap=2.0,
+            T_eps=None, total_samples=0, final_gap=2.0, n_steps=1, good_steps=0,
         )
         rep = verify_trace(trace, c, "standard")
         assert rep.passed and rep.checked == 0
@@ -223,12 +223,23 @@ class TestVerifyTrace:
             verify_trace(object(), c, "standard")
         bad = RunTrace(
             records=[record(0, "fw", 2.0, 1.0), "not a record"],
-            T_eps=None, total_samples=0, final_gap=2.0,
+            T_eps=None, total_samples=0, final_gap=2.0, n_steps=1, good_steps=1,
         )
         with pytest.raises(MalformedTrace):
             verify_trace(bad, c, "standard")
         with pytest.raises(ValueError):
             verify_trace(bad, c, "sideways")
+
+    def test_refuses_a_run_that_kept_no_records(self):
+        # A default run keeps counters only: there is nothing to check, and
+        # verify_trace must not report that nothing as a pass.
+        obj = QuadraticObjective([1.0, 2.0, 4.0], z=[0.6, 0.3, 0.2])
+        P = unit_simplex(3)
+        c = compute_constants(obj, P, 0.05)
+        trace = run("standard", obj, P, c, None, 0, 10_000, None)
+        assert trace.records is None and trace.T_eps is not None
+        with pytest.raises(MalformedTrace):
+            verify_trace(trace, c, "standard")
 
     def test_report_json_roundtrip(self):
         trace, c = self.exact_trace("standard", 0.1)

@@ -1,8 +1,10 @@
+import copy
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from polyfw.frank_wolfe import (
     standard_fw_step,
     standard_step_size,
 )
-from polyfw.geometry import Polytope, geometry_constants, lmo, unit_box, unit_simplex
+from polyfw.geometry import Polytope, lmo, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective, reference_solution
 from polyfw.sampling import NoiseModel, sample_noise_means
 
@@ -343,8 +345,9 @@ class TestRun:
 
     def test_immediate_stop(self):
         obj, P = self.problem()
-        trace = run("standard", obj, P, compute_constants(obj, P, 10.0), None, 0, 50, None)
-        assert trace.T_eps == 0
+        trace = run("standard", obj, P, compute_constants(obj, P, 10.0), None, 0, 50, None,
+                    record=True)
+        assert trace.T_eps == 0 and trace.n_steps == trace.good_steps == 0
         assert len(trace.records) == 1
         assert trace.records[0].step_type is None
         assert trace.total_samples == 0
@@ -354,7 +357,7 @@ class TestRun:
         ref = reference_solution(obj, P)
         trace = run(
             "standard", obj, P, compute_constants(obj, P, 0.05), None, 0, 10_000, None,
-            collect_weights=True,
+            record=True, collect_weights=True,
         )
         assert trace.T_eps is not None
         assert trace.final_gap <= 0.05
@@ -412,13 +415,14 @@ class TestRun:
             frank_wolfe, "noise_mean_stream", lambda *a: itertools.repeat(np.full(3, 100.0))
         )
         trace = run("away", obj, P, compute_constants(obj, P, 0.01), NoiseModel.gaussian(0.1, 3),
-                    1, 3, None)
+                    1, 3, None, record=True)
         steps = trace.records[:-1]
         assert [r.step_type for r in steps] == ["idle"] * 3
         assert all(r.gamma == 0.0 and not r.good_event for r in steps)
         assert len({r.f_gap for r in trace.records}) == 1
         assert trace.T_eps is None
 
+    @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize(
         "algorithm, noise, n, epsilon, max_iter, idle",
         [
@@ -430,26 +434,45 @@ class TestRun:
         ids=["standard", "away", "standard_max_iter", "away_idle"],
     )
     def test_one_step_call_per_stepping_iteration(
-        self, algorithm, noise, n, epsilon, max_iter, idle, rng, monkeypatch
+        self, algorithm, noise, n, epsilon, max_iter, idle, record, rng, monkeypatch
     ):
         # The benchmark counts standard_fw_step / away_fw_step calls inside
         # run against sum T_eps: exactly one call per stepping iteration,
-        # an idle away step (DegenerateDirection) included.
+        # an idle away step (DegenerateDirection) included, recorded or not.
+        # The counters of a run without records equal what the records of
+        # the same run (the same rng stream) give.
         calls = []
         for name in ("standard_fw_step", "away_fw_step"):
             step = getattr(frank_wolfe, name)
-            monkeypatch.setattr(
-                frank_wolfe, name, lambda *a, _step=step, **k: calls.append(1) or _step(*a, **k)
-            )
+
+            def counted(*a, _step=step, **k):
+                calls.append("idle")  # stays unless the step returns
+                active, info = _step(*a, **k)
+                calls[-1] = info["step_type"]
+                return active, info
+
+            monkeypatch.setattr(frank_wolfe, name, counted)
         if idle:
             monkeypatch.setattr(
                 frank_wolfe, "noise_mean_stream", lambda *a: itertools.repeat(np.full(3, 100.0))
             )
         obj, P = self.problem()
-        trace = run(algorithm, obj, P, compute_constants(obj, P, epsilon), noise, n, max_iter, rng)
-        steps = [r.step_type for r in trace.records if r.step_type is not None]
+        consts = compute_constants(obj, P, epsilon)
+        twin = copy.deepcopy(rng)
+        trace = run(algorithm, obj, P, consts, noise, n, max_iter, rng, record=record)
+        step_calls = calls[:]
+        assert (trace.records is None) == (not record)
+        recorded = trace if record else run(
+            algorithm, obj, P, consts, noise, n, max_iter, twin, record=True
+        )
+        steps = [r.step_type for r in recorded.records if r.step_type is not None]
         assert steps and ("idle" in steps) == idle
-        assert len(calls) == len(steps) == (max_iter if trace.T_eps is None else trace.T_eps)
+        assert step_calls == steps
+        assert trace.n_steps == len(steps) == (max_iter if trace.T_eps is None else trace.T_eps)
+        assert trace.good_steps == sum(r.good_event for r in recorded.records[:-1])
+        assert (trace.T_eps, trace.total_samples, trace.final_gap) == (
+            recorded.T_eps, recorded.total_samples, recorded.final_gap
+        )
 
     @pytest.mark.parametrize(
         "algorithm, noise, n",
@@ -463,50 +486,90 @@ class TestRun:
     ):
         obj, P = self.problem()
         consts = compute_constants(obj, P, 0.01)
-        blocked = run(algorithm, obj, P, consts, noise, n, 2000, np.random.default_rng(8))
+        blocked = run(algorithm, obj, P, consts, noise, n, 2000, np.random.default_rng(8),
+                      record=True)
 
         def one_mean_per_call(noise, n, rng):
             while True:
                 yield sample_noise_means(noise, n, (), rng)
 
         monkeypatch.setattr(frank_wolfe, "noise_mean_stream", one_mean_per_call)
-        single = run(algorithm, obj, P, consts, noise, n, 2000, np.random.default_rng(8))
+        single = run(algorithm, obj, P, consts, noise, n, 2000, np.random.default_rng(8),
+                     record=True)
         assert len(blocked.records) > 2
         assert blocked == single
 
     def test_max_iter_exhaustion(self):
         obj, P = self.problem()
-        trace = run("standard", obj, P, compute_constants(obj, P, 1e-8), None, 0, 3, None)
-        assert trace.T_eps is None
+        trace = run("standard", obj, P, compute_constants(obj, P, 1e-8), None, 0, 3, None,
+                    record=True)
+        assert trace.T_eps is None and trace.n_steps == 3
         assert trace.records[-1].step_type is None
         assert trace.records[-1].k == 3
 
-    def test_stochastic_run_counts_samples(self, rng):
+    @pytest.mark.parametrize("record", [False, True])
+    def test_stochastic_run_counts_samples(self, record, rng):
         obj, P = self.problem()
         noise = NoiseModel.gaussian(0.1, 3)
+        consts = compute_constants(obj, P, 0.1)
+        twin = copy.deepcopy(rng)
         trace = run(
-            "standard", obj, P, compute_constants(obj, P, 0.1), noise, 40, 5000, rng,
-            collect_weights=True,
+            "standard", obj, P, consts, noise, 40, 5000, rng, record=record, collect_weights=True,
         )
         assert_weight_rows_valid(P, trace.weights)
-        steps = [r for r in trace.records if r.step_type is not None]
-        assert trace.total_samples == 40 * len(steps)
+        assert len(trace.weights) == trace.n_steps + 1
+        recorded = trace if record else run(
+            "standard", obj, P, consts, noise, 40, 5000, twin, record=True
+        )
+        steps = [r for r in recorded.records if r.step_type is not None]
+        assert trace.total_samples == 40 * len(steps) == 40 * trace.n_steps
         assert all(r.n_samples == 40 for r in steps)
+        assert trace.good_steps == sum(r.good_event for r in steps)
         assert trace.T_eps is not None
 
     def test_good_event_flag_matches_threshold(self, rng):
+        # On the unit simplex D = sqrt 2, so the standard good event is
+        # grad_error <= eps / (4 sqrt 2) = 0.0177 at eps = 0.1. Means of
+        # n = 48 Gaussian samples at sigma = 0.1 have norms near
+        # 0.1 sqrt(3 / 48) = 0.025, so errors fall on both sides of it and
+        # some below eps / (2 sqrt 2) = 0.0354, where a threshold of
+        # eps / (2D) would call them good.
         obj, P = self.problem()
-        D = geometry_constants(P).D
-        noise = NoiseModel.gaussian(0.5, 3)
-        trace = run("standard", obj, P, compute_constants(obj, P, 0.1), noise, 5, 200, rng)
-        for r in trace.records:
-            if r.step_type is not None:
-                assert r.good_event == (r.grad_error <= 0.1 / (4.0 * D))
+        epsilon = 0.1
+        threshold = epsilon / (4.0 * math.sqrt(2.0))
+        noise = NoiseModel.gaussian(0.1, 3)
+        trace = run("standard", obj, P, compute_constants(obj, P, epsilon), noise, 48, 200, rng,
+                    record=True)
+        steps = trace.records[:-1]
+        errors = [r.grad_error for r in steps]
+        assert any(threshold < e <= 2.0 * threshold for e in errors)
+        assert any(e <= threshold for e in errors)
+        assert [r.good_event for r in steps] == [e <= threshold for e in errors]
+        assert trace.good_steps == sum(r.good_event for r in steps)
+
+    def test_unrecorded_run_memory_does_not_grow_with_max_iter(self):
+        # Without records a run keeps O(1) state: the same peak allocation at
+        # 2,000 and at 20,000 iterates (records would add ~4.5 MB).
+        obj, P = self.problem()
+        consts = compute_constants(obj, P, 1e-8)  # too small to reach
+        f_star = reference_solution(obj, P).f_star
+        peaks = []
+        for max_iter in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                trace = run("standard", obj, P, consts, None, 0, max_iter, None, f_star=f_star)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert trace.T_eps is None and trace.n_steps == max_iter
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
     def test_rejects_bad_arguments(self):
         obj, P = self.problem()
         with pytest.raises(ValueError):
             run("neither", obj, P, compute_constants(obj, P, 0.1), None, 0, 10, None)
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+            run("standard", obj, P, compute_constants(obj, P, 0.1), None, 0, -1, None)
         # A cell's epsilon reaches run only through its constants.
         with pytest.raises(ValueError):
             run("standard", obj, P, compute_constants(obj, P, -1.0), None, 0, 10, None)
@@ -526,6 +589,5 @@ class TestRun:
             algorithm, obj, P, consts, NoiseModel.gaussian(0.1, 3), 40, 5000, rng,
             f_star=ref.f_star,
         )
-        steps = sum(r.step_type is not None for r in trace.records)
-        assert steps > 0
-        assert len(calls) == steps + 1 == len(trace.records)
+        assert trace.n_steps > 0
+        assert len(calls) == trace.n_steps + 1

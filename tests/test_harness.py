@@ -21,6 +21,7 @@ from polyfw.geometry import unit_simplex
 from polyfw.harness import (
     CONCENTRATION_MAX_VALUES,
     CSV_HEADER,
+    TRACE_MAX_RECORDS,
     ExperimentConfig,
     cell_rng,
     concentration_experiment,
@@ -428,7 +429,7 @@ class TestConcentration:
         assert fit["slope"] < 0.0 and fit["c_fit"] > 0.0
 
     def test_requires_enough_trials(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^trials: must be >= 1000, got 10$"):
             concentration_experiment(NoiseModel.gaussian(1.0, 3), (5,), (1.0,), 10, rng)
 
 
@@ -988,6 +989,26 @@ class TestCLI:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", str(path)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_saved_traces_past_the_record_limit_exit_2_naming_max_iter(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # A saved trace holds max_iter + 1 records at worst. The limit admits
+        # max_iter = 10**6, which the example config uses; it does not apply
+        # without save_traces, where a run keeps no records.
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("a cell ran"))
+        for max_iter, save_traces in ((10**6, True), (TRACE_MAX_RECORDS - 1, True),
+                                      (TRACE_MAX_RECORDS, False)):
+            cfg = ExperimentConfig.from_dict(
+                base_config(tmp_path, max_iter=max_iter, save_traces=save_traces))
+            assert cfg.max_iter == max_iter
+        raw = base_config(tmp_path / "out", max_iter=TRACE_MAX_RECORDS, save_traces=True)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 2
+        assert (f"config error: max_iter: {TRACE_MAX_RECORDS} lets a saved trace hold "
+                f"{TRACE_MAX_RECORDS + 1} records, above the limit of {TRACE_MAX_RECORDS}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_sampling_typo_exits_2_before_any_polytope_work(self, tmp_path, capsys,
