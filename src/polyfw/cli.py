@@ -112,37 +112,41 @@ def cmd_report(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="polyfw")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a replicated experiment from a JSON config")
     p.add_argument("config")
-    p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("verify", help="check analysis inequalities on a saved trace")
     p.add_argument("trace")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("lmo-check", help="compare simplex LMO against enumeration")
     p.add_argument("polytope")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_lmo_check)
 
     p = sub.add_parser("concentration", help="empirical tail bounds per (n, s) cell")
     p.add_argument("config")
-    p.set_defaults(fn=cmd_concentration)
 
     p = sub.add_parser("report", help="pretty-print a summary.json")
     p.add_argument("dir")
-    p.set_defaults(fn=cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once per process and shared by every main call. It holds command
+# names, not functions: main looks cmd_<name> up in the module globals at
+# call time, so a replaced global (a test's or a tracer's) is the one called.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     if args.command == "lmo-check" and (args.trials < 1 or args.seed < 0):
-        parser.error(f"--trials must be >= 1 and --seed >= 0, got {args.trials} and {args.seed}")
+        _PARSER.error(f"--trials must be >= 1 and --seed >= 0, got {args.trials} and {args.seed}")
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -40,9 +40,11 @@ from .sampling import (
 ALGORITHMS = ("standard", "away")
 CSV_HEADER = "epsilon,replication,T_eps,total_samples,good_event_rate,final_gap,wall_ms"
 # Most records one saved trace may hold; a run keeps max_iter + 1 at worst.
-# A record takes 250-300 B in memory, and writing it ~840 B more at the peak
-# (its dict copy and its ~250 B of JSON): ~1.2 GB at the limit.
+# A record takes 250-300 B in memory: ~0.3 GB at the limit. Writing a trace
+# adds one chunk's dict copies and JSON text (~6 MB) at any length.
 TRACE_MAX_RECORDS = 2**20
+# Records per json.dumps call when a trace is written.
+TRACE_CHUNK = 4096
 
 
 @dataclass
@@ -349,10 +351,19 @@ def _trace_path(cfg: ExperimentConfig, eps_index: int, replication: int) -> str:
 
 
 def _save_trace(cfg, eps_index, replication, trace):
-    # json.dumps runs the C encoder; json.dump streams through the pure-Python
-    # one. Both write the same bytes.
+    """Write the bytes of json.dumps(trace_to_json(...)), TRACE_CHUNK records
+    at a time: the dict copies and JSON text alive at once are one chunk's,
+    however long the trace. The header goes out with the first chunk, so a
+    trace of one chunk is still a single json.dumps call (the C encoder)."""
+    records = trace.records
+    head = {**_trace_header(cfg, eps_index, trace),
+            "records": [dict(vars(rec)) for rec in records[:TRACE_CHUNK]]}
     with open(_trace_path(cfg, eps_index, replication), "w") as fh:
-        fh.write(json.dumps(trace_to_json(cfg, eps_index, trace)))
+        fh.write(json.dumps(head)[:-2])  # all but the closing "]}"
+        for start in range(TRACE_CHUNK, len(records), TRACE_CHUNK):
+            chunk = records[start:start + TRACE_CHUNK]
+            fh.write(", " + json.dumps([dict(vars(rec)) for rec in chunk])[1:-1])
+        fh.write("]}")
 
 
 # The header fields trace_to_json writes, the only ones a trace may hold.
@@ -360,7 +371,7 @@ TRACE_FIELDS = ("algorithm", "epsilon", "eps_g", "problem", "T_eps", "total_samp
                 "final_gap", "records")
 
 
-def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dict:
+def _trace_header(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dict:
     return {
         "algorithm": cfg.algorithm,
         "epsilon": cfg.epsilon_grid[eps_index],
@@ -369,9 +380,13 @@ def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dic
         "T_eps": trace.T_eps,
         "total_samples": trace.total_samples,
         "final_gap": trace.final_gap,
-        # Every field is a scalar, so a shallow copy is asdict's deep one.
-        "records": [dict(vars(rec)) for rec in trace.records],
     }
+
+
+def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dict:
+    # Every field is a scalar, so a shallow copy is asdict's deep one.
+    return {**_trace_header(cfg, eps_index, trace),
+            "records": [dict(vars(rec)) for rec in trace.records]}
 
 
 def _finite(path: str, value, positive: bool = False) -> None:

@@ -186,6 +186,39 @@ class TestVerifyTrace:
         assert not rep.passed and len(rep.violations) == 1
         assert rep.violations[0]["step_type"] == "away_drop"
 
+    @staticmethod
+    def one_step(kind, step_type, gap, next_gap):
+        """verify_trace's report on a single good step from gap to next_gap on
+        the interval at epsilon 1, where beta1 = 1/8 and beta2 = 1/200."""
+        obj, P = interval_problem()
+        trace = RunTrace(
+            records=[
+                record(0, step_type, gap, math.exp(gap)),
+                record(1, None, next_gap, math.exp(next_gap)),
+            ],
+            T_eps=None, total_samples=0, final_gap=next_gap, n_steps=1, good_steps=1,
+        )
+        return verify_trace(trace, compute_constants(obj, P, 1.0), kind)
+
+    @pytest.mark.parametrize("kind, bound", [("standard", 2.0 - 1 / 8), ("away", 2.0 * 0.995)])
+    def test_tolerance_is_1e_9_relative_to_the_gap(self, kind, bound):
+        # From gap 2 the tolerance is 2e-9: a margin of 1.5e-9 passes, one of
+        # 1e-6 is a violation.
+        inside = self.one_step(kind, "fw", 2.0, bound + 1.5e-9)
+        assert inside.passed and inside.checked == 1
+        assert inside.worst_margin == pytest.approx(1.5e-9, rel=1e-3)
+        outside = self.one_step(kind, "fw", 2.0, bound + 1e-6)
+        assert not outside.passed and len(outside.violations) == 1
+        assert outside.violations[0]["margin"] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_away_contraction_is_by_the_full_beta2(self):
+        # From gap 2 the next gap must be <= (1 - beta2) * 2 = 1.99. 1.9925
+        # lies above that and below the weaker (1 - beta2/2) * 2 = 1.995.
+        rep = self.one_step("away", "away", 2.0, 1.9925)
+        assert not rep.passed and rep.violations[0]["margin"] == pytest.approx(0.0025)
+        rep = self.one_step("away", "away", 2.0, 1.99)
+        assert rep.passed and rep.checked == 1
+
     def test_bad_iterations_are_skipped(self):
         obj, P = interval_problem()
         c = compute_constants(obj, P, 1.0)

@@ -12,13 +12,14 @@ design regenerates the fixtures of the configs it changed with
 """
 
 import hashlib
+import json
 import os
 import sys
 
 import pytest
 
 from polyfw.cli import main as cli_main
-from polyfw.harness import ExperimentConfig, run_experiment
+from polyfw.harness import ExperimentConfig, run_experiment, trace_from_json, trace_to_json
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -102,6 +103,21 @@ def test_saved_traces_pass_verify(name, tmp_path):
     assert paths
     for path in paths:
         assert cli_main(["verify", str(path)]) == 0, f"{path.name} fails polyfw verify"
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CONFIGS) if CONFIGS[n].get("save_traces")])
+def test_saved_traces_are_json_dumps_of_trace_to_json(name, tmp_path):
+    # The streamed writer's bytes, trace by trace, against one json.dumps of
+    # the whole trace rebuilt from the file.
+    golden_outputs(name, str(tmp_path))
+    cfg = ExperimentConfig.from_dict(golden_config(name, str(tmp_path)))
+    paths = sorted(tmp_path.glob("trace_*.json"))
+    assert len(paths) == len(cfg.epsilon_grid) * 2
+    for path in paths:
+        text = path.read_text()
+        eps_index = int(path.name.split("_")[1][1:])
+        trace = trace_from_json(json.loads(text))
+        assert text == json.dumps(trace_to_json(cfg, eps_index, trace)), path.name
 
 
 def _regenerate(names: list[str]) -> None:

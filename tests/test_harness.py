@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfw.cli import main as cli_main
-from polyfw import geometry, harness
+from polyfw import cli, geometry, harness
+from polyfw.diagnostics import STEP_TYPES, IterationRecord, RunTrace
 from polyfw.errors import ConfigError, DegenerateFit, MalformedTrace
 from polyfw.geometry import unit_simplex
 from polyfw.harness import (
@@ -73,6 +75,21 @@ def base_config(output_dir, **overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def synthetic_trace(n_records):
+    """A trace of n_records records, each field varying with k, shaped like run's."""
+    records = [
+        IterationRecord(k=k, step_type=STEP_TYPES[k % 5] if k < n_records - 1 else None,
+                        gamma=1 / (k + 2), gamma_max=1.0, n_samples=k % 7,
+                        grad_error=k / 3e4, good_event=k % 3 > 0, f_gap=1 / (k + 1),
+                        active_size=1 + k % 4, lyapunov=math.exp(1 / (k + 1)))
+        for k in range(n_records)
+    ]
+    return RunTrace(records=records, T_eps=None,
+                    total_samples=sum(rec.n_samples for rec in records),
+                    final_gap=records[-1].f_gap, n_steps=n_records - 1,
+                    good_steps=sum(rec.good_event for rec in records[:-1]))
 
 
 class TestFitLoglogSlope:
@@ -175,6 +192,34 @@ class TestRunExperiment:
                 json.dump(data, old)
                 saved = (tmp_path / "t" / f"trace_e{i}_r{r}.json").read_text()
                 assert saved == old.getvalue()
+
+    @pytest.mark.parametrize("n_records", [1, harness.TRACE_CHUNK, 2 * harness.TRACE_CHUNK + 1],
+                             ids=["one_record", "one_full_chunk", "three_chunks"])
+    def test_streamed_trace_bytes_equal_json_dumps_of_trace_to_json(self, tmp_path, n_records):
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path, save_traces=True))
+        trace = synthetic_trace(n_records)
+        harness._save_trace(cfg, 1, 2, trace)
+        saved = (tmp_path / "trace_e1_r2.json").read_text()
+        assert saved == json.dumps(harness.trace_to_json(cfg, 1, trace))
+
+    def test_trace_writing_memory_does_not_grow_with_the_records(self, tmp_path):
+        # All records exist before tracing starts. What stays allocated after
+        # the write (each record's instance dict, built on first vars() call)
+        # belongs to the records; the rest of the peak is what writing adds.
+        # A writer that builds the whole JSON at once needs ~17 MB more for
+        # the longer trace.
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path, save_traces=True))
+        transient = []
+        for n_chunks in (2, 8):
+            trace = synthetic_trace(n_chunks * harness.TRACE_CHUNK)
+            tracemalloc.start()
+            try:
+                harness._save_trace(cfg, 0, 0, trace)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            transient.append(peak - current)
+        assert abs(transient[1] - transient[0]) < 2**17, transient
 
     def test_deterministic_across_reruns_and_workers(self, tmp_path):
         raw = base_config(tmp_path / "w1")
@@ -788,6 +833,48 @@ class TestCLI:
             cli_main(["lmo-check", str(poly_path), *argv])
         assert exc.value.code == 2
         assert "--trials must be >= 1 and --seed >= 0" in capsys.readouterr().err
+
+    def test_main_calls_the_command_bound_at_call_time(self, tmp_path, monkeypatch):
+        # The parser is built once; a cmd_* global replaced after that (as a
+        # tracer does) must still be the function main calls.
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(json.dumps({"preset": "simplex", "dim": 3}))
+        assert cli_main(["lmo-check", str(poly_path), "--trials", "5"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.trace) or 7)
+        assert cli_main(["verify", "some_trace.json"]) == 7
+        assert calls == ["some_trace.json"]
+
+    def test_repeated_main_calls_give_identical_outputs(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "rep", sampling={"mode": "exact"}, epsilon_grid=[0.2, 0.1],
+                          replications=1, save_traces=True)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(json.dumps({"preset": "simplex", "dim": 3}))
+        conc_path = tmp_path / "conc.json"
+        conc_path.write_text(json.dumps(concentration_spec()))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        capsys.readouterr()
+        for argv in (["verify", str(tmp_path / "rep" / "trace_e1_r0.json")],
+                     ["lmo-check", str(poly_path), "--trials", "20", "--seed", "3"],
+                     ["concentration", str(conc_path)],
+                     ["report", str(tmp_path / "rep")],
+                     ["report", str(tmp_path / "missing")]):
+            first = cli_main(argv), capsys.readouterr()
+            second = cli_main(argv), capsys.readouterr()
+            assert first == second, argv
+            assert first[1].out or first[1].err
+
+    def test_a_rejected_call_leaves_main_usable(self, tmp_path, capsys):
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(json.dumps({"preset": "simplex", "dim": 3}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lmo-check", str(poly_path), "--trials", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli_main(["lmo-check", str(poly_path), "--trials", "10"]) == 0
+        assert capsys.readouterr().out.startswith("10 directions, worst objective mismatch")
 
     @pytest.mark.parametrize(
         "override",
