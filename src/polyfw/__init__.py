@@ -2,16 +2,14 @@
 and away-step Frank-Wolfe with sampled gradients, analysis diagnostics, and
 a replicated experiment harness."""
 
-from .diagnostics import AnalysisConstants, compute_constants, lyapunov, verify_trace
-from .frank_wolfe import (
-    ActiveSet,
+from .diagnostics import (
+    AnalysisConstants,
     IterationRecord,
     RunTrace,
-    away_fw_step,
-    run,
-    standard_fw_step,
-    standard_step_size,
+    compute_constants,
+    verify_trace,
 )
+from .frank_wolfe import ActiveSet, away_fw_step, run, standard_fw_step
 from .geometry import (
     GeometryConstants,
     Polytope,
@@ -41,6 +39,7 @@ from .sampling import (
     plan_sample_size,
 )
 from .simplex_lp import lmo_simplex_method, solve_lp
+from .theory import lyapunov, standard_step_size
 
 __all__ = [
     "ActiveSet",

@@ -9,7 +9,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .diagnostics import AnalysisConstants, IterationRecord, RunTrace, check_gap, lyapunov
+from . import theory
+from .diagnostics import AnalysisConstants, IterationRecord, RunTrace
 from .errors import DegenerateDirection, InvariantViolation
 from .geometry import Polytope, lmo
 from .objectives import reference_solution
@@ -71,18 +72,14 @@ def initial_active_set(P: Polytope) -> ActiveSet:
     return ActiveSet(P, {vid: 1.0})
 
 
-def standard_step_size(epsilon: float, L: float, D: float) -> float:
-    """The standard algorithm's fixed step size min(1, epsilon / (2 L D^2))."""
-    return min(1.0, epsilon / (2.0 * L * D * D))
-
-
 def standard_fw_step(
     active: ActiveSet, g: np.ndarray, P: Polytope, gamma: float
 ) -> tuple[ActiveSet, dict]:
-    """One standard Frank-Wolfe step of the given size (standard_step_size)
-    towards the LMO vertex, applied to the given active set in place. The
-    vertex is the first minimizer of V @ g, as lmo picks it; the scan is made
-    here, as in away_fw_step, to skip lmo's per-call argument handling."""
+    """One standard Frank-Wolfe step of the given size
+    (theory.standard_step_size) towards the LMO vertex, applied to the given
+    active set in place. The vertex is the first minimizer of V @ g, as lmo
+    picks it; the scan is made here, as in away_fw_step, to skip lmo's
+    per-call argument handling."""
     s_id = int(P.vertices.dot(g).argmin())
     active.apply_fw(s_id, gamma)
     info = {
@@ -182,19 +179,19 @@ def run(
 
     Stops at the first k with f(x_k) - f* <= epsilon (recorded as T_eps) or
     after max_iter steps (T_eps = None); f* defaults to the reference solve.
-    epsilon, D, L and eps_g are read from consts. The objective is evaluated
-    once per iterate (value and gradient together). Every stepping iteration
-    adds the mean of n gradient samples; n = 0 uses the true gradient.
+    epsilon, D, L, eps_g and nu are read from consts. The objective is
+    evaluated once per iterate (value and gradient together). Every stepping
+    iteration adds the mean of n gradient samples; n = 0 uses the true
+    gradient.
     The noise means come from noise_mean_stream, which draws gaussian and
     rademacher means from their exact laws in blocks: the estimates equal
     successive estimate_gradient draws from rng, but a caller that reuses rng
     after run sees a stream advanced past the run's last step.
-    The good-event flag compares the realized gradient error against
-    epsilon/(4D) for the standard algorithm and eps_g * g^T(v - s) for the
-    away-step algorithm. The trace counts steps and good steps; only with
-    record does it keep one IterationRecord per iterate (records is None
-    otherwise), and every iterate's gap passes check_gap either way. With
-    collect_weights the trace's weights holds a copy of the active set's
+    The good-event flag is the algorithm's good-event test (theory module)
+    on the realized gradient error. The trace counts steps and good steps;
+    only with record does it keep one IterationRecord per iterate (records
+    is None otherwise), and every iterate's gap passes check_gap either way.
+    With collect_weights the trace's weights holds a copy of the active set's
     weight row w at every iterate.
     """
     if algorithm not in ("standard", "away"):
@@ -203,9 +200,9 @@ def run(
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if f_star is None:
         f_star = reference_solution(obj, P).f_star
-    epsilon, D, L, eps_g = consts.epsilon, consts.D, consts.L, consts.eps_g
-    gamma = standard_step_size(epsilon, L, D)
-    threshold = epsilon / (4.0 * D)
+    epsilon, D, L, eps_g, nu = consts.epsilon, consts.D, consts.L, consts.eps_g, consts.nu
+    gamma = theory.standard_step_size(epsilon, L, D)
+    threshold = theory.standard_good_threshold(epsilon, D)
     # Bound once per run: the loop calls these every iterate.
     value_and_gradient = obj.value_and_gradient
     next_mean = noise_mean_stream(noise, n, rng).__next__ if n else None
@@ -224,9 +221,9 @@ def run(
         f_gap = f - f_star
         if record:
             n_k = len(active)
-            lyap = lyapunov(algorithm, f_gap, n_k, consts)
+            lyap = theory.lyapunov(algorithm, f_gap, n_k, nu)
         else:
-            check_gap(f_gap)
+            theory.check_gap(f_gap)
 
         # Records are built positionally, in IterationRecord's field order
         # (k, step_type, gamma, gamma_max, n_samples, grad_error, good_event,
@@ -256,7 +253,7 @@ def run(
                 # Noisy gradient re-selected the current singleton vertex;
                 # the iterate is stationary for this estimate, so idle.
                 info = {"step_type": "idle", "gamma": 0.0, "gamma_max": 1.0, "g_vs": 0.0}
-            good = grad_error <= eps_g * info["g_vs"]
+            good = theory.away_good_event(grad_error, eps_g, info["g_vs"])
         good_steps += good
 
         if record:

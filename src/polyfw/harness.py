@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import theory
 from .config import (config_choice, config_fields, config_float, config_int, config_number,
                      config_type, need)
 from .diagnostics import (
@@ -40,7 +41,7 @@ from .sampling import (
 ALGORITHMS = ("standard", "away")
 CSV_HEADER = "epsilon,replication,T_eps,total_samples,good_event_rate,final_gap,wall_ms"
 # Most records one saved trace may hold; a run keeps max_iter + 1 at worst.
-# A record takes 250-300 B in memory: ~0.3 GB at the limit. Writing a trace
+# A record takes ≈ 250 B in memory: ~0.26 GB at the limit. Writing a trace
 # adds one chunk's dict copies and JSON text (~6 MB) at any length.
 TRACE_MAX_RECORDS = 2**20
 # Records per json.dumps call when a trace is written.
@@ -222,21 +223,6 @@ def _format_row(row: dict) -> str:
     )
 
 
-def theorem_bound_mean_T(algorithm: str, gap0: float, consts: AnalysisConstants) -> float:
-    """Supermartingale bound on E[T_eps]: 2(f(x0)-f*) max(8LD^2/eps^2, 4/eps)
-    for the standard algorithm; log(Phi0) (2 + 4/(beta2 eps)) for away.
-    Squares are products, not **, which raises OverflowError past 1e154: at
-    an extreme epsilon the bound overflows to inf (or underflows to 0)."""
-    eps = consts.epsilon
-    if algorithm == "standard":
-        eps2 = eps * eps
-        # eps^2 that underflowed to 0 leaves 8 L D^2 / eps^2 above every float.
-        quad = 8.0 * consts.L * (consts.D * consts.D) / eps2 if eps2 else math.inf
-        return 2.0 * gap0 * max(quad, 4.0 / eps)
-    log_phi0 = consts.nu * gap0 + (1.0 - consts.nu) * 1.0
-    return log_phi0 * (2.0 + 4.0 / (consts.beta2 * eps))
-
-
 def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> SummaryStats:
     per_eps = []
     bound_violations = 0
@@ -246,8 +232,9 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
         done = [r for r in cell_rows if r["T_eps"] >= 0]
         failed = len(cell_rows) - len(done)
         Ts = np.array([r["T_eps"] for r in done], dtype=float)
-        delta = consts.delta_S if cfg.algorithm == "standard" else consts.delta_A
-        bound = theorem_bound_mean_T(cfg.algorithm, prob.gap0, consts)
+        delta, _ = consts.for_algorithm(cfg.algorithm)
+        bound = theory.bound_mean_T(cfg.algorithm, prob.gap0, consts.epsilon, consts.L,
+                                    consts.D, consts.nu, consts.beta2)
         total_good = sum(r["good_steps"] for r in cell_rows)
         total_steps = sum(r["n_steps"] for r in cell_rows)
         mean_T = float(Ts.mean()) if len(Ts) else float("nan")
@@ -269,7 +256,7 @@ def summarize(cfg: ExperimentConfig, prob: _Problem, rows: list[dict]) -> Summar
                 good_event_rate=(total_good / total_steps) if total_steps else 1.0,
                 bound_mean_T=bound,
                 emp_mgf=(
-                    float(np.mean(np.exp(np.minimum(0.5 * delta * Ts, 700.0))))
+                    float(np.mean(np.exp(np.minimum(theory.mgf_rate(delta) * Ts, 700.0))))
                     if len(Ts)
                     else float("nan")
                 ),
@@ -357,18 +344,20 @@ def _save_trace(cfg, eps_index, replication, trace):
     trace of one chunk is still a single json.dumps call (the C encoder)."""
     records = trace.records
     head = {**_trace_header(cfg, eps_index, trace),
-            "records": [dict(vars(rec)) for rec in records[:TRACE_CHUNK]]}
+            "records": _record_dicts(records[:TRACE_CHUNK])}
     with open(_trace_path(cfg, eps_index, replication), "w") as fh:
         fh.write(json.dumps(head)[:-2])  # all but the closing "]}"
         for start in range(TRACE_CHUNK, len(records), TRACE_CHUNK):
             chunk = records[start:start + TRACE_CHUNK]
-            fh.write(", " + json.dumps([dict(vars(rec)) for rec in chunk])[1:-1])
+            fh.write(", " + json.dumps(_record_dicts(chunk))[1:-1])
         fh.write("]}")
 
 
 # The header fields trace_to_json writes, the only ones a trace may hold.
 TRACE_FIELDS = ("algorithm", "epsilon", "eps_g", "problem", "T_eps", "total_samples",
                 "final_gap", "records")
+# The keys of each written record, in IterationRecord's field order.
+RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(IterationRecord))
 
 
 def _trace_header(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dict:
@@ -384,9 +373,13 @@ def _trace_header(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dic
 
 
 def trace_to_json(cfg: ExperimentConfig, eps_index: int, trace: RunTrace) -> dict:
-    # Every field is a scalar, so a shallow copy is asdict's deep one.
-    return {**_trace_header(cfg, eps_index, trace),
-            "records": [dict(vars(rec)) for rec in trace.records]}
+    return {**_trace_header(cfg, eps_index, trace), "records": _record_dicts(trace.records)}
+
+
+def _record_dicts(records: list[IterationRecord]) -> list[dict]:
+    """asdict of each record (every field is a scalar), read field by field:
+    the records have slots, and no instance dict is built for them."""
+    return [{name: getattr(rec, name) for name in RECORD_FIELDS} for rec in records]
 
 
 def _finite(path: str, value, positive: bool = False) -> None:

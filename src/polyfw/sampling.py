@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import theory
 from .config import config_choice, config_fields, config_float, config_int, config_type, need
 from .diagnostics import AnalysisConstants
 from .errors import ConfigError, MissingParam, NonpositiveS
@@ -197,50 +198,36 @@ class SamplePlan:
         return cls(mode="fixed", n=int(n))
 
 
-def subgaussian_c1(mu: float, eps_g: float, D: float, N: int, omega: float) -> float:
-    """Threshold coefficient c1 with s^2 = c1 * epsilon for the away-step
-    sub-Gaussian planner: (omega/N)^2 * mu / (2 (2 eps_g D + 1)^2)."""
-    return (omega / N) ** 2 * mu / (2.0 * (2.0 * eps_g * D + 1.0) ** 2)
-
-
 def theorem_sample_size(plan: SamplePlan, consts: AnalysisConstants, V_g: float, d: int) -> int:
-    """The per-iteration n of a theorem mode at consts.epsilon, at least 1.
+    """The per-iteration n of a theorem mode at consts.epsilon: the mode's
+    sample-size formula in the theory module, rounded up, at least 1.
     plan.params holds the mode's free inputs: V_g defaults to the noise's,
-    p_g to the theorem's (consts.pg_standard or consts.pg_away), c is given;
+    p_g to the algorithm's (AnalysisConstants.for_algorithm), c is given;
     every other constant comes from consts.
 
-    bounded_variance_standard: 16 V_g D^2 / (eps^2 (1 - p_g))
-    bounded_variance_away:     2 V_g (2 eps_g D + 1)^2 (N/omega)^2 / ((1 - p_g) eps)
-    subgaussian_standard: (16 D^2 / (c eps^2)) (2M + 2 + log 2d + log(1/(beta1 eps)))
-    subgaussian_away:     (2M + 2 + log 2d - log(beta2 eps)) / (c c1 eps)
-
     A theorem p_g that rounds to 1, or an n that is not finite (an extreme
-    epsilon), raises ConfigError. Squares are products: ** raises
-    OverflowError past 1e154 where a product overflows to inf.
+    epsilon), raises ConfigError.
     """
     p, mode = plan.params, plan.mode
     eps, eps_g, D, M, N, omega = (consts.epsilon, consts.eps_g, consts.D, consts.M, consts.N,
                                   consts.omega)
     if mode.startswith("bounded_variance"):
         V_g = p.get("V_g", V_g)
-        p_g = p.get("p_g", consts.pg_standard if mode.endswith("standard") else consts.pg_away)
+        p_g = p.get("p_g", consts.for_algorithm(mode.rpartition("_")[2])[1])
         if not p_g < 1.0:
             raise ConfigError("sampling.mode", f"{mode} needs p_g < 1, but p_g = {p_g} at "
                               f"M = {M} and epsilon = {eps} (1 - p_g shrinks like exp(-2M) "
                               f"and rounds to 0)")
     try:
         if mode == "bounded_variance_standard":
-            raw = 16.0 * V_g * (D * D) / (eps * eps * (1.0 - p_g))
+            raw = theory.bounded_variance_standard_n(V_g, p_g, eps, D)
         elif mode == "bounded_variance_away":
-            raw = 2.0 * V_g * (2.0 * eps_g * D + 1.0) ** 2 / ((1.0 - p_g) * eps) * (N / omega) ** 2
+            raw = theory.bounded_variance_away_n(V_g, p_g, eps, eps_g, D, N, omega)
         elif mode == "subgaussian_standard":
-            front = 16.0 * (D * D) / (p["c"] * (eps * eps))
-            raw = front * (2.0 * M + 2.0 + math.log(2.0 * d)) + front * math.log(
-                1.0 / (consts.beta1 * eps))
+            raw = theory.subgaussian_standard_n(p["c"], d, eps, D, M, consts.beta1)
         elif mode == "subgaussian_away":
-            c1 = subgaussian_c1(consts.mu, eps_g, D, N, omega)
-            raw = (2.0 * M + 2.0 + math.log(2.0 * d) - math.log(consts.beta2 * eps)) / (
-                p["c"] * c1 * eps)
+            c1 = theory.subgaussian_c1(consts.mu, eps_g, D, N, omega)
+            raw = theory.subgaussian_away_n(p["c"], d, eps, M, consts.beta2, c1)
         else:
             raise MissingParam(f"mode {mode!r} has no theorem sample size")
     except (ZeroDivisionError, ValueError):

@@ -22,11 +22,11 @@ from polyfw.harness import (
     fit_loglog_slope,
     concentration_experiment,
     run_experiment,
-    theorem_bound_mean_T,
 )
 from polyfw.objectives import QuadraticObjective, reference_solution
 from polyfw.sampling import NoiseModel, SamplePlan, estimate_gradient, theorem_sample_size
 from polyfw.simplex_lp import lmo_simplex_method
+from polyfw.theory import bound_mean_T
 
 from conftest import assert_weight_rows_valid, random_polytope
 
@@ -120,7 +120,7 @@ def test_criterion_3_iteration_bounds(prob5):
         for eps in EPS_GRID:
             c = compute_constants(obj, P, eps)
             trace = run(algorithm, obj, P, c, None, 0, 10**6, None, f_star=ref.f_star)
-            bound = theorem_bound_mean_T(algorithm, gap0, c)
+            bound = bound_mean_T(algorithm, gap0, eps, c.L, c.D, c.nu, c.beta2)
             if trace.T_eps is None or trace.T_eps > bound:
                 violations.append((algorithm, eps, trace.T_eps, bound))
     elapsed = time.perf_counter() - t0

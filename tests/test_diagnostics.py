@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from polyfw.diagnostics import IterationRecord, RunTrace, compute_constants, lyapunov, verify_trace
+from polyfw.diagnostics import IterationRecord, RunTrace, compute_constants, verify_trace
 from polyfw.errors import DegeneratePolytope, EpsGOutOfRange, InvariantViolation, MalformedTrace
 from polyfw.frank_wolfe import run
 from polyfw.geometry import Polytope, geometry_constants, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective
+from polyfw.theory import lyapunov
 
 
 def interval_problem():
@@ -102,10 +103,10 @@ class TestLyapunov:
     def test_values(self):
         obj, P = interval_problem()
         c = compute_constants(obj, P, 1.0)
-        assert lyapunov("standard", 0.0, 1, c) == 1.0
-        assert lyapunov("standard", 2.0, 1, c) == pytest.approx(math.e**2)
-        assert lyapunov("away", 0.0, 1, c) == pytest.approx(math.exp(1.0 - c.nu))
-        assert lyapunov("away", 1.0, 2, c) == pytest.approx(
+        assert lyapunov("standard", 0.0, 1, c.nu) == 1.0
+        assert lyapunov("standard", 2.0, 1, c.nu) == pytest.approx(math.e**2)
+        assert lyapunov("away", 0.0, 1, c.nu) == pytest.approx(math.exp(1.0 - c.nu))
+        assert lyapunov("away", 1.0, 2, c.nu) == pytest.approx(
             math.exp(c.nu + 2.0 * (1.0 - c.nu))
         )
 
@@ -113,21 +114,21 @@ class TestLyapunov:
         obj, P = interval_problem()
         c = compute_constants(obj, P, 1.0)
         with pytest.raises(ValueError):
-            lyapunov("standard", -0.1, 1, c)
+            lyapunov("standard", -0.1, 1, c.nu)
         with pytest.raises(ValueError):
-            lyapunov("away", 0.1, 0, c)
+            lyapunov("away", 0.1, 0, c.nu)
         with pytest.raises(ValueError):
-            lyapunov("momentum", 0.1, 1, c)
+            lyapunov("momentum", 0.1, 1, c.nu)
 
     @pytest.mark.parametrize("kind", ["standard", "away"])
     def test_gap_floor(self, kind):
         obj, P = interval_problem()
         c = compute_constants(obj, P, 1.0)
-        assert lyapunov(kind, -1e-13, 1, c) == pytest.approx(lyapunov(kind, 0.0, 1, c))
-        assert lyapunov(kind, -1e-12, 1, c) == pytest.approx(lyapunov(kind, 0.0, 1, c))
+        assert lyapunov(kind, -1e-13, 1, c.nu) == pytest.approx(lyapunov(kind, 0.0, 1, c.nu))
+        assert lyapunov(kind, -1e-12, 1, c.nu) == pytest.approx(lyapunov(kind, 0.0, 1, c.nu))
         for gap in (-1.1e-12, float("nan")):
             with pytest.raises(InvariantViolation):
-                lyapunov(kind, gap, 1, c)
+                lyapunov(kind, gap, 1, c.nu)
 
 
 def record(k, step_type, f_gap, lyap, good=True):

@@ -22,11 +22,11 @@ from polyfw.frank_wolfe import (
     initial_active_set,
     run,
     standard_fw_step,
-    standard_step_size,
 )
 from polyfw.geometry import Polytope, lmo, unit_box, unit_simplex
 from polyfw.objectives import QuadraticObjective, reference_solution
 from polyfw.sampling import NoiseModel, sample_noise_means
+from polyfw.theory import standard_step_size
 
 
 # unit_box(2) vertices in lexicographic order:

@@ -29,11 +29,11 @@ from polyfw.harness import (
     concentration_experiment,
     fit_loglog_slope,
     run_experiment,
-    theorem_bound_mean_T,
     trace_from_json,
 )
 from polyfw.objectives import QuadraticObjective
 from polyfw.sampling import NoiseModel
+from polyfw.theory import bound_mean_T
 
 BOX3_A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
@@ -204,8 +204,8 @@ class TestRunExperiment:
 
     def test_trace_writing_memory_does_not_grow_with_the_records(self, tmp_path):
         # All records exist before tracing starts. What stays allocated after
-        # the write (each record's instance dict, built on first vars() call)
-        # belongs to the records; the rest of the peak is what writing adds.
+        # the write belongs to the records (see the next test); the rest of
+        # the peak is what writing adds.
         # A writer that builds the whole JSON at once needs ~17 MB more for
         # the longer trace.
         cfg = ExperimentConfig.from_dict(base_config(tmp_path, save_traces=True))
@@ -220,6 +220,20 @@ class TestRunExperiment:
                 tracemalloc.stop()
             transient.append(peak - current)
         assert abs(transient[1] - transient[0]) < 2**17, transient
+
+    def test_writing_a_trace_leaves_nothing_allocated_per_record(self, tmp_path):
+        # Records have slots: reading their fields builds no instance dict
+        # that would outlive the write (64 B per record without slots).
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path, save_traces=True))
+        n_records = 2**16
+        trace = synthetic_trace(n_records)
+        tracemalloc.start()
+        try:
+            harness._save_trace(cfg, 0, 0, trace)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left / n_records < 1.0, left
 
     def test_deterministic_across_reruns_and_workers(self, tmp_path):
         raw = base_config(tmp_path / "w1")
@@ -415,10 +429,11 @@ def test_theorem_bound_formulas():
     c = compute_constants(obj, P, 0.1)
     gap0 = 1.3
     expect_std = 2.0 * gap0 * max(8.0 * c.L * c.D**2 / 0.01, 4.0 / 0.1)
-    assert theorem_bound_mean_T("standard", gap0, c) == pytest.approx(expect_std)
+    assert bound_mean_T("standard", gap0, 0.1, c.L, c.D, c.nu, c.beta2) == pytest.approx(
+        expect_std)
     log_phi0 = c.nu * gap0 + (1.0 - c.nu)
     expect_away = log_phi0 * (2.0 + 4.0 / (c.beta2 * 0.1))
-    assert theorem_bound_mean_T("away", gap0, c) == pytest.approx(expect_away)
+    assert bound_mean_T("away", gap0, 0.1, c.L, c.D, c.nu, c.beta2) == pytest.approx(expect_away)
 
 
 class TestConcentration:
@@ -629,7 +644,8 @@ class TestCLI:
         # A mean T_eps above the E[T] bound at one epsilon is one violation.
         cfg = ExperimentConfig.from_dict(base_config(tmp_path / "viol", replications=2))
         prob = harness._Problem(cfg)
-        bound = harness.theorem_bound_mean_T(cfg.algorithm, prob.gap0, prob.consts[1])
+        c = prob.consts[1]
+        bound = bound_mean_T(cfg.algorithm, prob.gap0, c.epsilon, c.L, c.D, c.nu, c.beta2)
         rows = [{"T_eps": math.ceil(bound) + 1 if i == 1 else 3, "total_samples": 0,
                  "good_steps": 1, "n_steps": 1} for i in range(3) for _ in range(2)]
         summary = harness.summarize(cfg, prob, rows)

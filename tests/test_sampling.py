@@ -25,9 +25,9 @@ from polyfw.sampling import (
     noise_mean_stream,
     plan_sample_size,
     sample_noise_means,
-    subgaussian_c1,
     theorem_sample_size,
 )
+from polyfw.theory import subgaussian_c1
 
 
 def quad3():

@@ -25,8 +25,10 @@ difference over their float fields and whether every other field (ints,
 bools, strings, nulls, keys and list lengths) matches; those two columns
 read `-` for other output.
 
-A third table gives the line count (as `wc -l` counts) of every Python
-module under each side's `src/`, and their totals.
+A third table gives, for every Python module under each side's `src/` and
+for their totals, the line count (as `wc -l` counts) and, apart, its code
+lines (lines holding a token other than a comment, outside docstrings) and
+its docstring lines (module, class and function docstrings).
 
 The exit status is 1 when a run row breaks the rule (those three columns
 identical and final_gap within 1e-12 relative) or a CLI row differs.
@@ -35,12 +37,15 @@ identical and final_gap within 1e-12 relative) or a CLI row differs.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 GAP_RTOL = 1e-12
 GOLDEN_SEEDS = (71, 72, 73)
@@ -148,8 +153,24 @@ def json_diff(p_text: str, c_text: str) -> tuple[float, bool] | None:
     return worst, same
 
 
-def src_lines(checkout: str) -> dict[str, int]:
-    """Line count of every .py file under checkout/src, keyed by its path there."""
+def line_counts(text: str) -> tuple[int, int, int]:
+    """(lines, code lines, docstring lines) of one module's source."""
+    doc = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            doc.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return text.count("\n"), len(code - doc), len(doc)
+
+
+def src_lines(checkout: str) -> dict[str, tuple[int, int, int]]:
+    """line_counts of every .py file under checkout/src, keyed by its path there."""
     src = os.path.join(checkout, "src")
     out = {}
     for root, _, files in os.walk(src):
@@ -157,7 +178,7 @@ def src_lines(checkout: str) -> dict[str, int]:
             if name.endswith(".py"):
                 path = os.path.join(root, name)
                 with open(path) as fh:
-                    out[os.path.relpath(path, src)] = fh.read().count("\n")
+                    out[os.path.relpath(path, src)] = line_counts(fh.read())
     return out
 
 
@@ -203,14 +224,17 @@ def main() -> int:
     cli_ok = cli_ok and [len(r) for r in p_out["cli"]] == [len(r) for r in c_out["cli"]]
     print(f"CLI outputs: {'identical' if cli_ok else 'DIFFER'}")
     print()
-    print("| src/ module | parent lines | change lines | change - parent |")
-    print("| --- | --- | --- | --- |")
+    print("| src/ module | lines: parent | change | diff | code: parent | change | diff "
+          "| docstring: parent | change | diff |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     p_lines, c_lines = src_lines(parent), src_lines(change)
-    for module in sorted(p_lines.keys() | c_lines.keys()):
-        p_n, c_n = p_lines.get(module, 0), c_lines.get(module, 0)
-        print(f"| {module} | {p_n} | {c_n} | {c_n - p_n:+d} |")
-    p_n, c_n = sum(p_lines.values()), sum(c_lines.values())
-    print(f"| total | {p_n} | {c_n} | {c_n - p_n:+d} |")
+    rows = [(module, p_lines.get(module, (0, 0, 0)), c_lines.get(module, (0, 0, 0)))
+            for module in sorted(p_lines.keys() | c_lines.keys())]
+    rows.append(("total", [sum(col) for col in zip(*p_lines.values())],
+                 [sum(col) for col in zip(*c_lines.values())]))
+    for module, p_n, c_n in rows:
+        cells = " | ".join(f"{p} | {c} | {c - p:+d}" for p, c in zip(p_n, c_n))
+        print(f"| {module} | {cells} |")
     return 0 if ok and cli_ok else 1
 
 
