@@ -117,7 +117,6 @@ class TraceReport:
     worst_margin: float = -math.inf  # most positive violation margin seen
     mean_phi_ratio: float = float("nan")
     phi_ratio_bound: float = float("nan")
-    good_iterations: int = 0
 
     @property
     def passed(self) -> bool:
@@ -157,7 +156,7 @@ def verify_trace(trace, consts: AnalysisConstants, kind: str) -> TraceReport:
                 {"k": rec.k, "step_type": rec.step_type, "margin": margin}
             )
         report.worst_margin = max(report.worst_margin, margin)
-    report.checked = report.good_iterations = len(ratios)
+    report.checked = len(ratios)
     if ratios:
         report.mean_phi_ratio = sum(ratios) / len(ratios)
     eps, last = consts.epsilon, len(records) - 1

@@ -17,6 +17,14 @@ from .objectives import reference_solution
 from .sampling import NoiseModel, noise_mean_stream
 
 DROP_TOL = 1e-12
+# ActiveSet runs its drop mask only when its lower bound on the positive
+# weights is at or below MASK_BELOW.
+MASK_BELOW = 2.0 * DROP_TOL
+# The bound goes through the same correctly rounded products and quotients
+# as the weights it bounds, so rounding, being monotone, keeps it at or below
+# them; the exact factor 1 - 2^-50 per update, and the 2 in MASK_BELOW, are
+# margin on top (each operation rounds by at most 2^-53 relative).
+SLACK = 1.0 - 2.0**-50
 
 
 class ActiveSet:
@@ -27,7 +35,12 @@ class ActiveSet:
     without the matmul call overhead).
 
     Weights at or below DROP_TOL are zeroed and the remaining mass
-    renormalized, so floating-point dust never accumulates.
+    renormalized, so floating-point dust never accumulates. The set keeps
+    low, a proven lower bound on every positive weight, carried through each
+    update (see SLACK). The zeroing mask, about 1 us an update, runs only
+    when low <= MASK_BELOW = 2 DROP_TOL, and low is then recomputed exactly;
+    above that no weight can be dust, so skipping the mask leaves w as
+    running it would, bit for bit.
     """
 
     def __init__(self, P: Polytope, weights: dict[int, float]):
@@ -35,7 +48,7 @@ class ActiveSet:
         self.V = P.vertices
         self.w = np.zeros(len(self.V))
         self.w[list(weights)] = list(weights.values())
-        self._settle()
+        self._settle(0.0)  # a bound of 0 runs the mask
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.w))
@@ -43,26 +56,42 @@ class ActiveSet:
     def apply_fw(self, s_id: int, gamma: float) -> None:
         """Frank-Wolfe update for gamma in [0, 1]: scale the weights by
         (1 - gamma) and add gamma to s, so the full step collapses to {s}."""
-        self.w *= 1.0 - gamma
-        self.w[s_id] += gamma
-        self._settle()
+        w = self.w
+        keep = 1.0 - gamma
+        w *= keep
+        w[s_id] += gamma
+        # s gets at least gamma, every other positive weight low (1 - gamma).
+        self._settle(min(self.low * keep * SLACK, gamma))
 
     def apply_away(self, v_id: int, gamma: float, at_max: bool) -> None:
         """Away update: scale other weights by (1 + gamma); the away vertex
         gets (1 + gamma) alpha - gamma, which is dropped at the maximal step."""
-        alpha_v = self.w[v_id]
-        self.w *= 1.0 + gamma
-        self.w[v_id] = 0.0 if at_max else (1.0 + gamma) * alpha_v - gamma
-        self._settle()
-
-    def _settle(self) -> None:
         w = self.w
-        w[w <= DROP_TOL] = 0.0
+        alpha_v = float(w[v_id])
+        w *= 1.0 + gamma
+        # Every other positive weight is at least low (1 + gamma).
+        low = self.low * (1.0 + gamma) * SLACK
+        if at_max:
+            w[v_id] = 0.0
+        else:
+            w[v_id] = rest = (1.0 + gamma) * alpha_v - gamma
+            low = min(low, rest)
+        self._settle(low)
+
+    def _settle(self, low: float) -> None:
+        """Drop dust (only when low, a lower bound on the positive weights,
+        allows it), renormalize, and set low and point."""
+        w = self.w
+        masked = low <= MASK_BELOW
+        if masked:
+            w[w <= DROP_TOL] = 0.0
         total = np.add.reduce(w)  # w.sum() without its Python wrapper
         if not abs(total - 1.0) <= 0.5:
             raise InvariantViolation(f"active-set mass {total} lost; representation corrupt")
         if total != 1.0:
             w /= total
+            low = low / float(total) * SLACK
+        self.low = float(w[w > 0.0].min()) if masked else low
         self.point = w.dot(self.V)
 
 
@@ -80,7 +109,7 @@ def standard_fw_step(
     active set in place. The vertex is the first minimizer of V @ g, as lmo
     picks it; the scan is made here, as in away_fw_step, to skip lmo's
     per-call argument handling."""
-    s_id = int(P.vertices.dot(g).argmin())
+    s_id = int(active.V.dot(g).argmin())
     active.apply_fw(s_id, gamma)
     info = {
         "step_type": "fw_max" if gamma >= 1.0 else "fw",

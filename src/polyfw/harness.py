@@ -4,6 +4,7 @@ artifacts that are byte-deterministic given the configuration."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -319,11 +320,11 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
             ) as pool:
                 rows = list(pool.map(_worker, *zip(*cells)))
         summary = summarize(cfg, prob, rows)
-        with open(csv_path, "w") as fh:
+        with _rewritten(csv_path) as fh:
             fh.write(CSV_HEADER + "\n")
             for row in rows:
                 fh.write(_format_row(row) + "\n")
-        with open(json_path, "w") as fh:
+        with _rewritten(json_path) as fh:
             fh.write(json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n")
         return summary
     except Exception:
@@ -331,6 +332,18 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryStats:
             if os.path.exists(path):
                 os.remove(path)
         raise
+
+
+@contextlib.contextmanager
+def _rewritten(path: str):
+    """A text file open for writing at path that is cut at the end of what
+    was written when the block ends, and not emptied first: rewriting an
+    existing file in place costs a fraction of open(path, "w"), which
+    truncates it to zero first. A symlink at path is followed, as open
+    follows it."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        yield fh
+        fh.truncate()
 
 
 def _trace_path(cfg: ExperimentConfig, eps_index: int, replication: int) -> str:
@@ -345,7 +358,7 @@ def _save_trace(cfg, eps_index, replication, trace):
     records = trace.records
     head = {**_trace_header(cfg, eps_index, trace),
             "records": _record_dicts(records[:TRACE_CHUNK])}
-    with open(_trace_path(cfg, eps_index, replication), "w") as fh:
+    with _rewritten(_trace_path(cfg, eps_index, replication)) as fh:
         fh.write(json.dumps(head)[:-2])  # all but the closing "]}"
         for start in range(TRACE_CHUNK, len(records), TRACE_CHUNK):
             chunk = records[start:start + TRACE_CHUNK]

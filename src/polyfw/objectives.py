@@ -13,6 +13,7 @@ from .geometry import Polytope
 
 REFERENCE_GAP_TOL = 1e-12
 REFERENCE_MAX_ITER = 10**7
+FLOAT = np.dtype(float)  # the descriptor numpy gives the float64 arrays it computes
 
 
 class QuadraticObjective:
@@ -33,6 +34,7 @@ class QuadraticObjective:
             raise ValueError(f"eigenvalues must be nonempty and positive, got {lam.tolist()}")
         self.eigenvalues = lam
         self.z = np.ascontiguousarray(z)
+        self._shape = self.z.shape  # what value_and_gradient takes as it is
         self.rotation_seed = rotation_seed
         if rotation_seed is None:
             self.rotation = np.eye(lam.size)
@@ -67,8 +69,12 @@ class QuadraticObjective:
         0.5 * (y @ Q @ y) is value's (0.5 * y) @ Q @ y rescaled exactly.
         Every product is ndarray.dot, left to right as @ groups it: on the
         C-contiguous Q and y it gives @'s bits at a third of its call cost
-        (y.dot(Q @ y) would regroup the sum and change bits on rotated Q)."""
-        y = self._check(x) - self.z
+        (y.dot(Q @ y) would regroup the sum and change bits on rotated Q).
+        A float64 ndarray of the right shape is used as it is; anything else
+        is coerced and checked as value and gradient do."""
+        if x.__class__ is not np.ndarray or x.dtype is not FLOAT or x.shape != self._shape:
+            x = self._check(x)
+        y = x - self.z
         Q = self.Q
         return 0.5 * float(y.dot(Q).dot(y)), Q.dot(y)
 

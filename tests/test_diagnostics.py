@@ -281,3 +281,5 @@ class TestVerifyTrace:
         data = rep.to_json()
         assert data["passed"] is True
         assert data["checked"] == rep.checked
+        assert sorted(data) == ["checked", "kind", "mean_phi_ratio", "passed",
+                                "phi_ratio_bound", "violations", "worst_margin"]

@@ -242,6 +242,148 @@ def test_initial_active_set_is_min_ones_vertex():
     assert set(np.flatnonzero(a.w)) == {vid}
 
 
+class AlwaysMaskActiveSet:
+    """Reference copy of the update before the lower bound on the weights:
+    every update zeroes the weights at or below DROP_TOL, then renormalizes.
+    dropped counts the positive weights the mask has zeroed."""
+
+    def __init__(self, P: Polytope, weights: dict[int, float]):
+        self.V = P.vertices
+        self.w = np.zeros(len(self.V))
+        self.w[list(weights)] = list(weights.values())
+        self.dropped = 0
+        self._settle()
+
+    def apply_fw(self, s_id: int, gamma: float) -> None:
+        self.w *= 1.0 - gamma
+        self.w[s_id] += gamma
+        self._settle()
+
+    def apply_away(self, v_id: int, gamma: float, at_max: bool) -> None:
+        alpha_v = self.w[v_id]
+        self.w *= 1.0 + gamma
+        self.w[v_id] = 0.0 if at_max else (1.0 + gamma) * alpha_v - gamma
+        self._settle()
+
+    def _settle(self) -> None:
+        w = self.w
+        self.dropped += int(np.count_nonzero((w > 0.0) & (w <= DROP_TOL)))
+        w[w <= DROP_TOL] = 0.0
+        total = np.add.reduce(w)
+        if not abs(total - 1.0) <= 0.5:
+            raise InvariantViolation(f"active-set mass {total} lost; representation corrupt")
+        if total != 1.0:
+            w /= total
+        self.point = w.dot(self.V)
+
+
+def assert_same_bits(new: ActiveSet, ref: AlwaysMaskActiveSet) -> None:
+    assert new.w.tobytes() == ref.w.tobytes()
+    assert new.point.tobytes() == ref.point.tobytes()
+    assert new.low <= new.w[new.w > 0.0].min()
+
+
+def fw_gamma(rng: np.random.Generator) -> float:
+    """A FW step size: uniform, the full step, tiny (at most DROP_TOL, so the
+    new vertex's weight is dust), or large (old weights decay fast)."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return float(rng.uniform())
+    if kind == 1:
+        return 1.0
+    if kind == 2:
+        return float(10.0 ** rng.uniform(-17.0, -11.5))
+    return float(rng.uniform(0.6, 0.99))
+
+
+def away_gamma(rng: np.random.Generator, gamma_max: float) -> tuple[float, bool]:
+    """An away step size: the drop step, a uniform fraction of gamma_max, or
+    just under gamma_max, where the away weight (1 - alpha)(gamma_max - gamma)
+    lands on either side of DROP_TOL or rounds to zero or below."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return gamma_max, True
+    if kind == 1:
+        return gamma_max * float(rng.uniform()), False
+    return gamma_max * (1.0 - float(10.0 ** rng.uniform(-16.0, -10.0))), False
+
+
+# unit_box(8): 256 vertices, so a vertex once left is rarely stepped to again
+# and its weight decays through DROP_TOL under repeated FW steps.
+LOW_BOUND_POLYTOPES = {"simplex3": unit_simplex(3), "box8": unit_box(8)}
+# Initial weights of the second vertex: just below, at and just above
+# DROP_TOL, and just above the mask threshold 2 DROP_TOL.
+DUST = (DROP_TOL * (1.0 - 2.0**-52), DROP_TOL, DROP_TOL * (1.0 + 2.0**-52), 2.5 * DROP_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(LOW_BOUND_POLYTOPES))
+@pytest.mark.parametrize("seed", range(4))
+def test_lower_bound_skip_matches_always_mask(name, seed):
+    # Random FW and away updates from random starts: the set that masks only
+    # when its lower bound allows leaves w and point as the always-mask
+    # reference does, bit for bit, while the mask does drop weights.
+    P = LOW_BOUND_POLYTOPES[name]
+    N = len(P.vertices)
+    rng = np.random.default_rng(seed)
+    dropped = 0
+    for start in range(12):
+        a, b = (int(i) for i in rng.choice(N, 2, replace=False))
+        dust = DUST[start % len(DUST)]
+        weights = {a: 1.0 - dust, b: dust} if start % 3 else {a: 1.0}
+        new, ref = ActiveSet(P, weights), AlwaysMaskActiveSet(P, weights)
+        assert_same_bits(new, ref)
+        for _ in range(60):
+            active = np.flatnonzero(ref.w)
+            if rng.uniform() < 0.6 or len(active) == 1:
+                s_id = int(rng.integers(N)) if N < 10 or rng.uniform() < 0.5 else int(active[0])
+                gamma = fw_gamma(rng)
+                new.apply_fw(s_id, gamma)
+                ref.apply_fw(s_id, gamma)
+            else:
+                v_id = int(rng.choice(active))
+                alpha = float(ref.w[v_id])
+                gamma, at_max = away_gamma(rng, alpha / (1.0 - alpha))
+                new.apply_away(v_id, gamma, at_max)
+                ref.apply_away(v_id, gamma, at_max)
+            assert_same_bits(new, ref)
+        dropped += ref.dropped
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("dust", DUST)
+def test_initial_dust_is_dropped_at_drop_tol(dust):
+    new = ActiveSet(BOX, {0: 1.0 - dust, 3: dust})
+    ref = AlwaysMaskActiveSet(BOX, {0: 1.0 - dust, 3: dust})
+    assert_same_bits(new, ref)
+    assert (new.w[3] > 0.0) == (dust > DROP_TOL)
+
+
+def test_decay_through_drop_tol_fires_the_mask():
+    # FW steps of 1/2 away from vertex 3 halve its weight exactly: the 39th
+    # leaves 2^-39 > DROP_TOL, the 40th 2^-40 < DROP_TOL, which is dropped.
+    new, ref = ActiveSet(BOX, {3: 1.0}), AlwaysMaskActiveSet(BOX, {3: 1.0})
+    for k in range(1, 41):
+        new.apply_fw(k % 3, 0.5)
+        ref.apply_fw(k % 3, 0.5)
+        assert_same_bits(new, ref)
+        assert new.w[3] == (2.0**-k if k < 40 else 0.0)
+    assert ref.dropped == 1
+
+
+def test_tiny_fw_step_and_near_drop_away_step_are_dropped():
+    # A FW step of gamma <= DROP_TOL adds dust at s; an away step just short
+    # of gamma_max leaves dust at v. Both are zeroed.
+    new, ref = ActiveSet(BOX, {0: 0.25, 3: 0.75}), AlwaysMaskActiveSet(BOX, {0: 0.25, 3: 0.75})
+    new.apply_fw(1, 1e-13)
+    ref.apply_fw(1, 1e-13)
+    assert_same_bits(new, ref)
+    assert new.w[1] == 0.0
+    gamma = 0.25 / 0.75 * (1.0 - 1e-13)
+    new.apply_away(0, gamma, at_max=False)
+    ref.apply_away(0, gamma, at_max=False)
+    assert_same_bits(new, ref)
+    assert new.w[0] == 0.0 and ref.dropped == 2
+
 class TestStandardStep:
     def test_gamma_formula(self):
         a = ActiveSet(BOX, {3: 1.0})  # x = (1, 1)

@@ -265,6 +265,35 @@ class TestRunExperiment:
         assert len(traces("t1")) == 3 * 3
         assert traces("t1") == traces("t2")
 
+    def test_rerun_over_longer_outputs_leaves_a_fresh_runs_bytes(self, tmp_path):
+        # Outputs are rewritten in place and cut to their new length: a run
+        # into a directory that holds longer ones (more rows, longer traces)
+        # leaves the bytes of a run into an empty directory. A symlink at an
+        # output's path is followed, and its target gets the new bytes.
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        raw = base_config(fresh, replications=2, save_traces=True)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        reused.mkdir()
+        target = tmp_path / "target.csv"
+        target.write_text("x" * 10_000)
+        (reused / "runs.csv").symlink_to(target)
+        run_experiment(ExperimentConfig.from_dict(
+            {**raw, "output_dir": str(reused), "replications": 3,
+             "epsilon_grid": [0.2, 0.1, 0.05]}))
+        longer = {p.name: p.stat().st_size for p in reused.glob("trace_*.json")}
+        run_experiment(ExperimentConfig.from_dict({**raw, "output_dir": str(reused)}))
+
+        def without_wall_ms(text):
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+        assert (reused / "runs.csv").is_symlink()
+        assert without_wall_ms(target.read_text()) == without_wall_ms(
+            (fresh / "runs.csv").read_text())
+        assert (reused / "summary.json").read_bytes() == (fresh / "summary.json").read_bytes()
+        for path in fresh.glob("trace_*.json"):
+            assert path.stat().st_size < longer[path.name]
+            assert (reused / path.name).read_bytes() == path.read_bytes()
+
     def test_constants_resolved_once_per_epsilon(self, tmp_path, monkeypatch):
         calls = []
         original = harness.compute_constants

@@ -1,12 +1,15 @@
-"""Mutation probe of the paper's formulas: does some test, other than a golden
-fixture or a value pinned from the program's own output, catch each one?
+"""Mutation probe of the paper's formulas and of the active set's dust-mask
+skip: does some test, other than a golden fixture or a value pinned from the
+program's own output, catch each mutation?
 
     python3 tools/mutation_probe.py           # run every mutation (~25 s each)
     python3 tools/mutation_probe.py --check   # only check the table against src/
 
-Each mutation in MUTATIONS changes one constant of one formula: its target
-text, which must occur exactly once under `src/`, is replaced. The tier-1
-suite then runs on a fresh copy of the checkout (`src/`, `tests/`,
+Each mutation in MUTATIONS changes one constant of one formula, or makes
+the lower bound that lets `ActiveSet` skip its drop mask unsound (the skip
+then keeps weights at or below DROP_TOL that the mask would zero): its
+target text, which must occur exactly once under `src/`, is replaced. The
+tier-1 suite then runs on a fresh copy of the checkout (`src/`, `tests/`,
 `benchmark/` and `README.md`, which tests read) made under the system's
 temporary directory. Failing tests are sorted into goldens
 (`tests/test_golden.py`), pinned values (PINNED) and the rest, which are
@@ -78,6 +81,12 @@ MUTATIONS = [
      "return (next_gap - gap) - (-beta1 * epsilon / 2.0), tol"),
     ("standard p_g: e^(2M) made e^(4M)",
      "_exp_ratio(2.0 * M, -delta_S", "_exp_ratio(4.0 * M, -delta_S"),
+    ("active-set FW bound: min(low (1 - gamma), gamma) made gamma",
+     "min(self.low * keep * SLACK, gamma)", "gamma"),
+    ("active-set away bound: the kept away weight ignored",
+     "low = min(low, rest)", "low = low"),
+    ("active-set mask threshold: 2 DROP_TOL made 0",
+     "MASK_BELOW = 2.0 * DROP_TOL", "MASK_BELOW = 0.0"),
 ]
 
 GOLDEN = "tests/test_golden.py"
